@@ -7,7 +7,9 @@ similarity temperature.
 
 Parameters live in a flat name -> Tensor dict.  Names are hierarchical
 ("image/block0/attn/q/w", "text/token_embed", "proj/visual", "logit_scale"),
-which keeps freeze masks, optimizers and checkpoints trivially aligned.
+which keeps freeze regimes, optimizers and checkpoints trivially aligned.
+A parameter is trainable exactly when its ``requires_grad`` is set; frozen
+parameters stay out of the autodiff graph.
 """
 
 from __future__ import annotations
@@ -184,8 +186,12 @@ class DualEncoderModel:
         if params is None:
             params = _init_params(config, np.random.default_rng(init_seed))
         self.params = params
-        self.trainable_mask = {name: True for name in params}
         self.metadata: dict = {}
+
+    @property
+    def trainable_mask(self) -> dict:
+        """name -> requires_grad, in the form the optimizers' ``trainable`` takes."""
+        return {name: p.requires_grad for name, p in self.params.items()}
 
     @property
     def logit_scale(self) -> T.Tensor:
@@ -247,8 +253,10 @@ def _patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, side * side, patch * patch * c)
 
 
-def encode_image(model: DualEncoderModel, images) -> T.Tensor:
-    """Embed a batch of RGB images (values in 0..255) to unit-norm rows."""
+def image_features(model: DualEncoderModel, images) -> T.Tensor:
+    """Pooled image-tower features of RGB images (values in 0..255), before
+    the projection.  Each row depends only on its own image, not on the rest
+    of the batch."""
     cfg = model.config
     raw = images.data if isinstance(images, T.Tensor) else np.asarray(images)
     if raw.ndim != 4 or raw.shape[1] != CHANNELS:
@@ -266,8 +274,17 @@ def encode_image(model: DualEncoderModel, images) -> T.Tensor:
     x = _linear(T.Tensor(patches), p["image/patch_embed/w"], p["image/patch_embed/b"])
     x = T.add(x, p["image/pos_embed"])
     pool_mask = np.ones((raw.shape[0], cfg.num_patches), dtype=np.float32)
-    pooled = _encoder(x, p, "image", cfg.image_layers, cfg.image_heads, None, pool_mask)
-    return T.l2_normalize(T.matmul(pooled, p["proj/visual"]))
+    return _encoder(x, p, "image", cfg.image_layers, cfg.image_heads, None, pool_mask)
+
+
+def project_image(model: DualEncoderModel, pooled: T.Tensor) -> T.Tensor:
+    """Map pooled image features to unit-norm rows of the shared space."""
+    return T.l2_normalize(T.matmul(pooled, model.params["proj/visual"]))
+
+
+def encode_image(model: DualEncoderModel, images) -> T.Tensor:
+    """Embed a batch of RGB images (values in 0..255) to unit-norm rows."""
+    return project_image(model, image_features(model, images))
 
 
 def encode_text(model: DualEncoderModel, tokens, lengths) -> T.Tensor:
@@ -319,9 +336,10 @@ _PROJECTION_NAMES = ("proj/visual", "proj/text", "logit_scale")
 
 
 def apply_freeze(model: DualEncoderModel, regime: FreezeRegime) -> None:
-    """Set the per-parameter trainable mask for a training regime.
+    """Set every parameter's ``requires_grad`` for a training regime.
 
-    The logit scale and both projections stay trainable in every regime;
+    Ops whose inputs are all frozen then record no backward rule, and frozen
+    parameters get no gradient.  The logit scale and both projections stay trainable in every regime;
     text-encoder mode additionally trains the text tower, full mode trains
     everything.
     """
@@ -334,7 +352,7 @@ def apply_freeze(model: DualEncoderModel, regime: FreezeRegime) -> None:
             trainable = name in _PROJECTION_NAMES
         else:
             raise ConfigError(f"unknown freeze regime {regime!r}")
-        model.trainable_mask[name] = trainable
+        model.params[name].requires_grad = trainable
 
 
 def count_parameters(model: DualEncoderModel) -> dict:

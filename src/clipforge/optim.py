@@ -1,8 +1,9 @@
 """Optimizers: Lion, Lion with 8-bit quantized momentum, and AdamW.
 
 All steps mutate parameters in place and share one OptimizerState.  Only
-parameters marked trainable are touched; frozen parameters keep their exact
-bit pattern and never acquire state buffers.
+parameters named trainable in the ``trainable`` map (for a model, its
+``requires_grad`` flags) are touched; frozen parameters keep their exact bit
+pattern and never acquire state buffers.
 """
 
 import math

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import model as M
 from . import optim
+from . import tensor as T
 from .contrastive import clip_loss, similarity
 from .data import (
     Vocabulary,
@@ -28,7 +29,7 @@ from .data import (
     sample_epoch,
     tokenize,
 )
-from .errors import ConfigError, DatasetFormatError, TrainingError
+from .errors import CheckpointIntegrityError, ConfigError, DatasetFormatError, TrainingError
 
 OPTIMIZERS = ("lion", "lion8", "adamw")
 REGIMES = tuple(r.value for r in M.FreezeRegime)
@@ -195,10 +196,28 @@ def _iter_batches(items, batch_size: int, rng=None):
             yield [items[i] for i in chunk]
 
 
-def batch_loss(model: M.DualEncoderModel, records, choices: dict, vocab: Vocabulary):
-    """Symmetric contrastive loss of one batch under a language plan."""
-    pixels = np.stack([r.get_pixels() for r in records]).transpose(0, 3, 1, 2)
-    image_emb = M.encode_image(model, pixels)
+def _pixels(records) -> np.ndarray:
+    return np.stack([r.get_pixels() for r in records]).transpose(0, 3, 1, 2)
+
+
+def batch_loss(
+    model: M.DualEncoderModel, records, choices: dict, vocab: Vocabulary, image_cache=None
+):
+    """Symmetric contrastive loss of one batch under a language plan.
+
+    ``image_cache`` (record id -> pooled image-feature row) is for a frozen
+    image tower: only records missing from it go through the tower, and their
+    rows are added to it.
+    """
+    if image_cache is None:
+        image_emb = M.encode_image(model, _pixels(records))
+    else:
+        missing = [r for r in records if r.id not in image_cache]
+        if missing:
+            pooled = M.image_features(model, _pixels(missing)).data
+            image_cache.update(zip((r.id for r in missing), pooled))
+        pooled = T.Tensor(np.stack([image_cache[r.id] for r in records]))
+        image_emb = M.project_image(model, pooled)
     encoded = [
         tokenize(r.captions[choices[r.id]], vocab, model.config.max_text_len)
         for r in records
@@ -209,10 +228,10 @@ def batch_loss(model: M.DualEncoderModel, records, choices: dict, vocab: Vocabul
     return clip_loss(similarity(image_emb, text_emb, model.logit_scale))
 
 
-def dataset_loss(model, records, choices, vocab, batch_size: int) -> float:
+def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=None) -> float:
     total, count = 0.0, 0
     for batch in _iter_batches(records, batch_size):
-        loss = float(batch_loss(model, batch, choices, vocab).data)
+        loss = float(batch_loss(model, batch, choices, vocab, image_cache=image_cache).data)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:
@@ -327,6 +346,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     else:
         config_path.write_text(effective, encoding="utf-8")
 
+    steps_per_epoch = sum(1 for _ in _iter_batches(train_ids, config.batch_size))
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
     if last_path.exists():
         model = M.load_checkpoint(last_path)
@@ -334,9 +354,21 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             raise ConfigError(
                 "cannot resume: checkpoint model config does not match the run config"
             )
-        state = _load_state(out / STATE_FILE, config.optimizer, model.params)
         next_epoch = int(model.metadata["next_epoch"])
         best_val = float(model.metadata["best_val"])
+        # a run that stopped between writing the checkpoint and its optimizer
+        # state leaves the state missing or one epoch behind
+        if not (out / STATE_FILE).exists():
+            raise CheckpointIntegrityError(
+                f"cannot resume: {LAST_CHECKPOINT} has no {STATE_FILE}; use --force to start over"
+            )
+        state = _load_state(out / STATE_FILE, config.optimizer, model.params)
+        if state.step_count != next_epoch * steps_per_epoch:
+            raise CheckpointIntegrityError(
+                f"cannot resume: {LAST_CHECKPOINT} ends epoch {next_epoch - 1} but"
+                f" {STATE_FILE} holds {state.step_count} steps, expected"
+                f" {next_epoch * steps_per_epoch}; use --force to start over"
+            )
         say(f"resuming run {run_id} at epoch {next_epoch}")
     else:
         if config.init_from:
@@ -362,8 +394,12 @@ def run_training(config: RunConfig, log=None) -> RunResult:
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
     step_fn, make_cfg = _step_fn(config)
+    # a frozen image tower maps each record to the same pooled row all run long
+    frozen_images = not any(
+        p.requires_grad for name, p in model.params.items() if name.startswith("image/")
+    )
+    image_cache = {} if frozen_images else None
 
-    steps_per_epoch = sum(1 for _ in _iter_batches(train_ids, config.batch_size))
     total_steps = steps_per_epoch * config.epochs
     global_step = state.step_count
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
@@ -377,7 +413,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         epoch_total, epoch_count, last_lr = 0.0, 0, 0.0
         for batch_ids in _iter_batches(train_ids, config.batch_size, rng):
             batch = [by_id[i] for i in batch_ids]
-            loss = batch_loss(model, batch, plan.choices, vocab)
+            loss = batch_loss(model, batch, plan.choices, vocab, image_cache=image_cache)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -392,7 +428,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             epoch_total += value * len(batch)
             epoch_count += len(batch)
 
-        val_loss = dataset_loss(model, val_records, val_plan.choices, vocab, config.batch_size)
+        val_loss = dataset_loss(
+            model, val_records, val_plan.choices, vocab, config.batch_size, image_cache=image_cache
+        )
         entry = EpochStats(
             epoch=epoch,
             train_loss=epoch_total / epoch_count,

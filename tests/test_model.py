@@ -20,6 +20,7 @@ from clipforge.model import (
     count_parameters,
     encode_image,
     encode_text,
+    image_features,
     load_checkpoint,
     save_checkpoint,
 )
@@ -186,6 +187,28 @@ def test_batch_permutation_permutes_rows():
     np.testing.assert_allclose(perm_t, base_t[perm], atol=1e-6)
 
 
+def test_pooled_image_features_do_not_depend_on_the_batch():
+    # the frozen-tower feature cache in training relies on bitwise equality
+    cfg = ModelConfig.from_presets("l-b", vocab_size=12, max_text_len=5)
+    model = DualEncoderModel(cfg, init_seed=3)
+    apply_freeze(model, FreezeRegime.TEXT_ENCODER)
+    rng = np.random.default_rng(7)
+    images = rng.integers(0, 256, size=(128, 3, 32, 32), dtype=np.uint8)
+
+    def pooled(batch_size, order):
+        rows = np.empty((len(order), cfg.image_dim), dtype=np.float32)
+        for start in range(0, len(order), batch_size):
+            chunk = order[start : start + batch_size]
+            rows[chunk] = image_features(model, images[chunk]).data
+        return rows
+
+    natural = np.arange(len(images))
+    reference = pooled(64, natural)
+    assert np.array_equal(pooled(1, natural), reference)
+    assert np.array_equal(pooled(7, natural), reference)
+    assert np.array_equal(pooled(64, rng.permutation(len(images))), reference)
+
+
 # ---------------------------------------------------------------------------
 # freeze regimes and parameter accounting
 # ---------------------------------------------------------------------------
@@ -194,6 +217,9 @@ def test_freeze_full_trains_everything():
     model = DualEncoderModel(micro_config(), init_seed=1)
     apply_freeze(model, FreezeRegime.FULL)
     assert all(model.trainable_mask.values())
+    apply_freeze(model, FreezeRegime.PROJECTION_ONLY)
+    apply_freeze(model, FreezeRegime.FULL)  # unfreezes again
+    assert all(p.requires_grad for p in model.params.values())
 
 
 def test_freeze_text_encoder_freezes_image_tower():

@@ -7,8 +7,17 @@ import pytest
 from clipforge import model as M
 from clipforge import tensor as T
 from clipforge import training
-from clipforge.data import aesthetic_filter, generate_synthetic_corpus, save_dataset, save_split, split
-from clipforge.errors import ConfigError, DatasetFormatError, TrainingError
+from clipforge.data import (
+    Vocabulary,
+    aesthetic_filter,
+    generate_synthetic_corpus,
+    load_dataset,
+    sample_epoch,
+    save_dataset,
+    save_split,
+    split,
+)
+from clipforge.errors import CheckpointIntegrityError, ConfigError, DatasetFormatError, TrainingError
 from clipforge.training import (
     RunConfig,
     coerce_field,
@@ -166,8 +175,10 @@ def test_two_runs_bitwise_identical(dataset_dir, tmp_path):
     assert Path(a.best_checkpoint).read_bytes() == Path(b.best_checkpoint).read_bytes()
 
 
-def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path):
-    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3))
+@pytest.mark.parametrize("regime", ["full", "text-encoder"])
+def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path, regime):
+    # a resumed frozen-tower run refills its image-feature cache from other batches
+    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3, regime=regime))
 
     calls = []
     def dying_log(message):
@@ -175,7 +186,7 @@ def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path):
         if len(calls) == 2:
             raise KeyboardInterrupt
 
-    config = tiny_config(dataset_dir, tmp_path / "i", epochs=3)
+    config = tiny_config(dataset_dir, tmp_path / "i", epochs=3, regime=regime)
     with pytest.raises(KeyboardInterrupt):
         run_training(config, log=dying_log)
     resumed = run_training(config)
@@ -183,6 +194,30 @@ def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path):
     # run record keeps a single run entry across the restart
     lines = [json.loads(l) for l in (tmp_path / "i" / training.RECORD_FILE).read_text().splitlines()]
     assert sum(1 for l in lines if l["record"] == "run") == 1
+
+
+@pytest.mark.parametrize("dying_call", [1, 2], ids=["state-missing", "state-behind"])
+def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_call):
+    save_state = training._save_state
+    calls = []
+
+    def dying_save_state(*args):
+        # last.nclp of the dying call's epoch is on disk; last.optstate is
+        # absent (call 1) or still holds the previous epoch (call 2)
+        calls.append(args)
+        if len(calls) == dying_call:
+            raise KeyboardInterrupt
+        save_state(*args)
+
+    config = tiny_config(dataset_dir, tmp_path / "torn", epochs=3)
+    monkeypatch.setattr(training, "_save_state", dying_save_state)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config)
+    monkeypatch.setattr(training, "_save_state", save_state)
+    with pytest.raises(CheckpointIntegrityError) as exc:
+        run_training(config)
+    assert exc.value.code == "E_CHECKPOINT_INTEGRITY"
+    assert "\n" not in str(exc.value)
 
 
 def test_config_mismatch_refused(dataset_dir, tmp_path):
@@ -249,8 +284,50 @@ def test_init_from_mismatched_config(dataset_dir, tmp_path):
         )
 
 
+def frozen_batch(dataset_dir, size, regime):
+    """A b-b model frozen for ``regime``, plus one batch of records and its plan."""
+    dataset = load_dataset(dataset_dir)
+    vocab = Vocabulary.for_dataset(dataset)
+    records = dataset.records[:size]
+    choices = sample_epoch(records, 0, 4, dataset.languages).choices
+    cfg = M.ModelConfig.from_presets("b-b", vocab.size, training.MAX_TEXT_LEN, image_size=16)
+    model = M.DualEncoderModel(cfg, init_seed=0)
+    M.apply_freeze(model, M.FreezeRegime(regime))
+    return model, records, choices, vocab
+
+
+@pytest.mark.parametrize(
+    "regime, frozen",
+    [("text-encoder", ("image/",)), ("projection", ("image/", "text/"))],
+    ids=["text-encoder", "projection"],
+)
+def test_frozen_parameters_get_no_gradient(dataset_dir, regime, frozen):
+    model, records, choices, vocab = frozen_batch(dataset_dir, 8, regime)
+    assert model.trainable_mask == {name: p.requires_grad for name, p in model.params.items()}
+    for image_cache in (None, {}):
+        model.zero_grad()
+        training.batch_loss(model, records, choices, vocab, image_cache=image_cache).backward()
+        for name, p in model.params.items():
+            assert (p.grad is None) == name.startswith(frozen), (image_cache, name)
+
+
+def test_image_cache_gives_the_same_loss_and_gradients(dataset_dir):
+    model, records, choices, vocab = frozen_batch(dataset_dir, 12, "text-encoder")
+    cache = {}
+    training.batch_loss(model, records[3:10], choices, vocab, image_cache=cache)  # partly warm
+    outcomes = []
+    for image_cache in (None, cache, cache):  # uncached, partly cached, fully cached
+        model.zero_grad()
+        loss = training.batch_loss(model, records, choices, vocab, image_cache=image_cache)
+        loss.backward()
+        grads = {n: p.grad.tobytes() for n, p in model.params.items() if p.grad is not None}
+        outcomes.append((loss.data.tobytes(), grads))
+    assert set(cache) == {r.id for r in records}
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 def test_non_finite_loss_aborts(dataset_dir, tmp_path, monkeypatch):
-    def poisoned(model, records, choices, vocab):
+    def poisoned(model, records, choices, vocab, **_):
         return T.Tensor(np.float32(np.nan))
 
     monkeypatch.setattr(training, "batch_loss", poisoned)
