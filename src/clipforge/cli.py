@@ -37,6 +37,7 @@ from .training import (
     RECORD_FILE,
     RunConfig,
     coerce_field,
+    key_value_text,
     read_config_file,
     run_training,
 )
@@ -53,8 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_effective(path: Path, values: dict) -> None:
-    lines = [f"{key}={values[key]}" for key in sorted(values)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(key_value_text(values), encoding="utf-8")
 
 
 def _fresh_output_dir(out: Path, force: bool, command: str) -> None:

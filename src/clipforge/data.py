@@ -65,6 +65,11 @@ class CaptionedImage:
         return self.pixels
 
 
+def pixel_batch(records) -> np.ndarray:
+    """Stack the records' images as a uint8 [batch, 3, H, W] array."""
+    return np.stack([r.get_pixels() for r in records]).transpose(0, 3, 1, 2)
+
+
 @dataclass
 class Dataset:
     records: list
@@ -181,6 +186,12 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int):
     length = len(ids)
     ids = ids + [PAD_ID] * (max_len - length)
     return np.asarray(ids, dtype=np.int64), length
+
+
+def tokenize_batch(texts, vocab: Vocabulary, max_len: int):
+    """Tokenize texts into (ids [n, max_len], valid lengths [n])."""
+    encoded = [tokenize(text, vocab, max_len) for text in texts]
+    return np.stack([ids for ids, _ in encoded]), np.asarray([n for _, n in encoded])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .data import UNK_ID, tokenize
+from .data import UNK_ID, pixel_batch, tokenize_batch
 from .errors import ComparisonError, ConfigError, EvaluationError
 
 TEXT_TO_IMAGE = "text_to_image"
@@ -214,7 +214,7 @@ def evaluate(
             f" {sorted(languages)}, dataset has {sorted(dataset.languages)}"
         )
 
-    pixels = np.stack([r.get_pixels() for r in records]).transpose(0, 3, 1, 2)
+    pixels = pixel_batch(records)
     image_emb = _batched(
         lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size
     )
@@ -231,9 +231,7 @@ def evaluate(
             for caption in captions:
                 texts.append(caption)
                 owners.append(index)
-        encoded = [tokenize(text, vocab, max_len) for text in texts]
-        tokens = np.stack([ids for ids, _ in encoded])
-        lengths = np.asarray([n for _, n in encoded])
+        tokens, lengths = tokenize_batch(texts, vocab, max_len)
         covered = covered or bool((tokens[:, 1:] > UNK_ID).any())
         text_emb = _batched(
             lambda t, n: M.encode_text(model, t, n).data, (tokens, lengths), batch_size

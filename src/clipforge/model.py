@@ -44,6 +44,20 @@ PRESETS = {
 }
 
 
+def preset_pair(pair: str) -> tuple:
+    """(image tower, text tower) presets of a pair like "l-b", or of a single
+    letter applied to both towers."""
+    parts = pair.split("-")
+    if len(parts) == 1:
+        parts = parts * 2
+    if len(parts) != 2 or any(p not in PRESETS for p in parts):
+        raise ConfigError(
+            f"unknown preset pair {pair!r}; expected letters from {sorted(PRESETS)}"
+            " joined by '-'"
+        )
+    return PRESETS[parts[0]], PRESETS[parts[1]]
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int
@@ -92,17 +106,8 @@ class ModelConfig:
         patch_size: int = 8,
         embed_dim: int = 64,
     ) -> "ModelConfig":
-        """Build a config from a preset pair like "l-b" (image tower, text
-        tower) or a single letter applied to both towers."""
-        parts = pair.split("-")
-        if len(parts) == 1:
-            parts = [parts[0], parts[0]]
-        if len(parts) != 2 or any(p not in PRESETS for p in parts):
-            raise ConfigError(
-                f"unknown preset pair {pair!r}; expected letters from {sorted(PRESETS)}"
-                " joined by '-'"
-            )
-        (il, idim, ih), (tl, tdim, th) = PRESETS[parts[0]], PRESETS[parts[1]]
+        """Build a config from a preset pair (see ``preset_pair``)."""
+        (il, idim, ih), (tl, tdim, th) = preset_pair(pair)
         return ModelConfig(
             image_size=image_size,
             patch_size=patch_size,
@@ -187,11 +192,6 @@ class DualEncoderModel:
             params = _init_params(config, np.random.default_rng(init_seed))
         self.params = params
         self.metadata: dict = {}
-
-    @property
-    def trainable_mask(self) -> dict:
-        """name -> requires_grad, in the form the optimizers' ``trainable`` takes."""
-        return {name: p.requires_grad for name, p in self.params.items()}
 
     @property
     def logit_scale(self) -> T.Tensor:
@@ -471,6 +471,12 @@ def save_checkpoint(model: DualEncoderModel, path, metadata: dict | None = None)
 
 
 def load_checkpoint(path) -> DualEncoderModel:
+    """Read a model saved by ``save_checkpoint``.
+
+    Its parameters come back frozen (``requires_grad`` False), so a loaded
+    model embeds without recording an autodiff graph; call ``apply_freeze``
+    before training it.
+    """
     header, arrays = read_tensor_file(path)
     try:
         config = ModelConfig(**header["config"])
@@ -489,7 +495,7 @@ def load_checkpoint(path) -> DualEncoderModel:
                 f"parameter {name}: shape {arr.shape} does not match config"
                 f" {expected[name]}"
             )
-    params = {name: T.Tensor(arrays[name], requires_grad=True) for name in expected}
+    params = {name: T.Tensor(arrays[name]) for name in expected}
     model = DualEncoderModel(config, params=params)
     model.metadata = header.get("metadata", {})
     return model

@@ -1,9 +1,9 @@
 """Optimizers: Lion, Lion with 8-bit quantized momentum, and AdamW.
 
-All steps mutate parameters in place and share one OptimizerState.  Only
-parameters named trainable in the ``trainable`` map (for a model, its
-``requires_grad`` flags) are touched; frozen parameters keep their exact bit
-pattern and never acquire state buffers.
+All steps mutate parameters in place and share one OptimizerState.  A step
+updates exactly the parameters it is passed, each of which needs a gradient;
+a caller freezes a parameter by leaving it out, so it keeps its exact bit
+pattern and never acquires a state buffer.
 """
 
 import math
@@ -181,10 +181,8 @@ def state_from_arrays(meta: dict, arrays: dict, params: dict) -> OptimizerState:
 # steps
 # ---------------------------------------------------------------------------
 
-def _iter_trainable(params: dict, grads: dict, trainable):
+def _iter_trainable(params: dict, grads: dict):
     for name in sorted(params):
-        if trainable is not None and not trainable.get(name, True):
-            continue
         p = params[name]
         if name not in grads or grads[name] is None:
             raise TrainingError(f"missing gradient for parameter {name}")
@@ -207,30 +205,30 @@ def _lion_update(p, g, m, cfg: LionConfig):
     return cfg.beta2 * m + (1.0 - cfg.beta2) * g
 
 
-def lion_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig, trainable=None):
+def lion_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig):
     state.step_count += 1
-    for name, p, g in _iter_trainable(params, grads, trainable):
+    for name, p, g in _iter_trainable(params, grads):
         m = state.momentum.get(name)
         if m is None:
             m = np.zeros_like(p.data)
         state.momentum[name] = _lion_update(p, g, m, cfg)
 
 
-def lion8_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig, trainable=None):
+def lion8_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig):
     """Lion with the momentum buffer held in blockwise 8-bit form."""
     state.step_count += 1
-    for name, p, g in _iter_trainable(params, grads, trainable):
+    for name, p, g in _iter_trainable(params, grads):
         buf = state.momentum.get(name)
         m = dequantize_block(buf) if buf is not None else np.zeros_like(p.data)
         state.momentum[name] = quantize_block(_lion_update(p, g, m, cfg), state.block_size)
 
 
-def adamw_step(params: dict, grads: dict, state: OptimizerState, cfg: AdamWConfig, trainable=None):
+def adamw_step(params: dict, grads: dict, state: OptimizerState, cfg: AdamWConfig):
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - cfg.beta1**t
     bias2 = 1.0 - cfg.beta2**t
-    for name, p, g in _iter_trainable(params, grads, trainable):
+    for name, p, g in _iter_trainable(params, grads):
         m = state.momentum.get(name)
         v = state.second_moment.get(name)
         if m is None:

@@ -74,46 +74,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swap_axes(self, a: int, b: int):
-        return swap_axes(self, a, b)
-
-    def sum(self, axis=None):
-        return sum_(self, axis)
-
-    def mean(self, axis=None):
-        return mean_(self, axis)
 
 
 def _result(data, parents, backward_fn, op):
@@ -441,7 +403,7 @@ def topo_order(root: Tensor) -> list:
 def backward(root: Tensor) -> None:
     """Populate .grad of every requires_grad tensor reachable from a scalar
     root. Fan-out contributions accumulate additively; across repeated calls
-    gradients also accumulate (clear with zero_grad between steps)."""
+    gradients also accumulate (reset .grad to None between steps)."""
     if root.size != 1:
         raise GraphError(f"backward: root must be a scalar, got shape {root.shape}")
     order = topo_order(root)

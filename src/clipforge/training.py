@@ -26,8 +26,9 @@ from .data import (
     load_dataset,
     load_split,
     manifest_digest,
+    pixel_batch,
     sample_epoch,
-    tokenize,
+    tokenize_batch,
 )
 from .errors import CheckpointIntegrityError, ConfigError, DatasetFormatError, TrainingError
 
@@ -62,14 +63,7 @@ class RunConfig:
     init_from: str = ""
 
     def __post_init__(self):
-        parts = self.preset.split("-")
-        if len(parts) == 1:
-            parts = parts * 2
-        if len(parts) != 2 or any(p not in M.PRESETS for p in parts):
-            raise ConfigError(
-                f"unknown preset pair {self.preset!r}; expected letters from"
-                f" {sorted(M.PRESETS)} joined by '-'"
-            )
+        M.preset_pair(self.preset)
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.optimizer not in OPTIMIZERS:
@@ -150,16 +144,20 @@ def read_config_file(path) -> dict:
     return values
 
 
+def key_value_text(values: dict) -> str:
+    """``key=value`` lines sorted by key, each ending in a newline."""
+    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+
+
 def config_to_text(config: RunConfig, skip=()) -> str:
-    lines = []
-    for field in sorted(dataclasses.fields(config), key=lambda f: f.name):
-        if field.name in skip:
-            continue
-        value = getattr(config, field.name)
-        if field.name == "languages":
-            value = ",".join(value)
-        lines.append(f"{field.name}={value}")
-    return "\n".join(lines) + "\n"
+    values = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
+        if field.name not in skip
+    }
+    if "languages" in values:
+        values["languages"] = ",".join(values["languages"])
+    return key_value_text(values)
 
 
 def run_id_of(config: RunConfig) -> str:
@@ -196,10 +194,6 @@ def _iter_batches(items, batch_size: int, rng=None):
             yield [items[i] for i in chunk]
 
 
-def _pixels(records) -> np.ndarray:
-    return np.stack([r.get_pixels() for r in records]).transpose(0, 3, 1, 2)
-
-
 def batch_loss(
     model: M.DualEncoderModel, records, choices: dict, vocab: Vocabulary, image_cache=None
 ):
@@ -210,20 +204,17 @@ def batch_loss(
     rows are added to it.
     """
     if image_cache is None:
-        image_emb = M.encode_image(model, _pixels(records))
+        image_emb = M.encode_image(model, pixel_batch(records))
     else:
         missing = [r for r in records if r.id not in image_cache]
         if missing:
-            pooled = M.image_features(model, _pixels(missing)).data
+            pooled = M.image_features(model, pixel_batch(missing)).data
             image_cache.update(zip((r.id for r in missing), pooled))
         pooled = T.Tensor(np.stack([image_cache[r.id] for r in records]))
         image_emb = M.project_image(model, pooled)
-    encoded = [
-        tokenize(r.captions[choices[r.id]], vocab, model.config.max_text_len)
-        for r in records
-    ]
-    tokens = np.stack([ids for ids, _ in encoded])
-    lengths = np.asarray([n for _, n in encoded])
+    tokens, lengths = tokenize_batch(
+        [r.captions[choices[r.id]] for r in records], vocab, model.config.max_text_len
+    )
     text_emb = M.encode_text(model, tokens, lengths)
     return clip_loss(similarity(image_emb, text_emb, model.logit_scale))
 
@@ -384,20 +375,14 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         next_epoch = 0
         best_val = float("inf")
         _append_record(
-            out,
-            {
-                "record": "run",
-                "run_id": run_id,
-                "config": {f.name: getattr(config, f.name) for f in dataclasses.fields(config)},
-            },
+            out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)}
         )
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
+    trainable = {name: p for name, p in model.params.items() if p.requires_grad}
     step_fn, make_cfg = _step_fn(config)
     # a frozen image tower maps each record to the same pooled row all run long
-    frozen_images = not any(
-        p.requires_grad for name, p in model.params.items() if name.startswith("image/")
-    )
+    frozen_images = not any(name.startswith("image/") for name in trainable)
     image_cache = {} if frozen_images else None
 
     total_steps = steps_per_epoch * config.epochs
@@ -421,9 +406,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 )
             model.zero_grad()
             loss.backward()
-            grads = {name: p.grad for name, p in model.params.items()}
+            grads = {name: p.grad for name, p in trainable.items()}
             last_lr = _scheduled_lr(global_step, total_steps, config.lr, config.warmup_steps)
-            step_fn(model.params, grads, state, make_cfg(last_lr), model.trainable_mask)
+            step_fn(trainable, grads, state, make_cfg(last_lr))
             global_step += 1
             epoch_total += value * len(batch)
             epoch_count += len(batch)
@@ -459,18 +444,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             },
         )
         _save_state(out / STATE_FILE, config.optimizer, state)
-        _append_record(
-            out,
-            {
-                "record": "epoch",
-                "run_id": run_id,
-                "epoch": epoch,
-                "train_loss": entry.train_loss,
-                "val_loss": entry.val_loss,
-                "last_lr": entry.last_lr,
-                "seconds": entry.seconds,
-            },
-        )
+        _append_record(out, {"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
         say(
             f"epoch {epoch + 1}/{config.epochs}: train {entry.train_loss:.4f}"
             f" val {entry.val_loss:.4f} lr {entry.last_lr:.2e} ({entry.seconds:.1f}s)"

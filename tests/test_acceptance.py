@@ -336,6 +336,7 @@ def test_baseline_table_averages():
 # ---------------------------------------------------------------------------
 
 def _run_steps(model, records, languages, vocab, steps, batch_size=16):
+    trainable = {name: p for name, p in model.params.items() if p.requires_grad}
     state = optim.OptimizerState()
     step = epoch = 0
     while step < steps:
@@ -347,9 +348,9 @@ def _run_steps(model, records, languages, vocab, steps, batch_size=16):
             loss = training.batch_loss(model, batch, plan.choices, vocab)
             model.zero_grad()
             loss.backward()
-            grads = {name: p.grad for name, p in model.params.items()}
+            grads = {name: p.grad for name, p in trainable.items()}
             lr = training._scheduled_lr(step, steps, 3e-4, 20)
-            optim.lion_step(model.params, grads, state, optim.LionConfig(lr=lr), model.trainable_mask)
+            optim.lion_step(trainable, grads, state, optim.LionConfig(lr=lr))
             step += 1
         epoch += 1
 
@@ -550,7 +551,7 @@ def _paired_run(step_fn, dataset_dir, preset="b-b"):
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()}
             lr = training._scheduled_lr(step, PAIRED_STEPS, 3e-4, 20)
-            step_fn(model.params, grads, state, optim.LionConfig(lr=lr), model.trainable_mask)
+            step_fn(model.params, grads, state, optim.LionConfig(lr=lr))
             last = float(loss.data)
             step += 1
         epoch += 1

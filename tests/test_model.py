@@ -216,7 +216,7 @@ def test_pooled_image_features_do_not_depend_on_the_batch():
 def test_freeze_full_trains_everything():
     model = DualEncoderModel(micro_config(), init_seed=1)
     apply_freeze(model, FreezeRegime.FULL)
-    assert all(model.trainable_mask.values())
+    assert all(p.requires_grad for p in model.params.values())
     apply_freeze(model, FreezeRegime.PROJECTION_ONLY)
     apply_freeze(model, FreezeRegime.FULL)  # unfreezes again
     assert all(p.requires_grad for p in model.params.values())
@@ -225,15 +225,15 @@ def test_freeze_full_trains_everything():
 def test_freeze_text_encoder_freezes_image_tower():
     model = DualEncoderModel(micro_config(), init_seed=1)
     apply_freeze(model, FreezeRegime.TEXT_ENCODER)
-    for name, trainable in model.trainable_mask.items():
-        assert trainable == (not name.startswith("image/"))
+    for name, p in model.params.items():
+        assert p.requires_grad == (not name.startswith("image/"))
 
 
 def test_freeze_projection_only_counts():
     cfg = micro_config()
     model = DualEncoderModel(cfg, init_seed=1)
     apply_freeze(model, FreezeRegime.PROJECTION_ONLY)
-    trainable = {n for n, t in model.trainable_mask.items() if t}
+    trainable = {n for n, p in model.params.items() if p.requires_grad}
     assert trainable == {"proj/visual", "proj/text", "logit_scale"}
     n_trainable = sum(model.params[n].size for n in trainable)
     assert n_trainable == cfg.image_dim * cfg.embed_dim + cfg.text_dim * cfg.embed_dim + 1
@@ -280,6 +280,15 @@ def test_checkpoint_resave_byte_identical(tmp_path):
     save_checkpoint(model, first, metadata={"seed": 7})
     save_checkpoint(load_checkpoint(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_loaded_checkpoint_records_no_graph(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(DualEncoderModel(micro_config(), init_seed=8), path)
+    images, _, _ = micro_batch(2)
+    out = encode_image(load_checkpoint(path), images)
+    assert out.requires_grad is False
+    assert out._backward is None
 
 
 def test_checkpoint_wrong_magic(tmp_path):

@@ -113,11 +113,29 @@ def test_config_file_parsing(tmp_path):
         read_config_file(tmp_path / "absent.cfg")
 
 
-def test_config_text_roundtrip_and_skip():
+def test_config_text_roundtrip_and_skip(tmp_path):
     config = RunConfig(dataset_dir="d", output_dir="o", languages=("a", "b"))
     text = config_to_text(config)
-    assert "languages=a,b" in text
-    assert "dataset_dir=d" in text
+    assert text == (
+        "batch_size=64\n"
+        "data_seed=0\n"
+        "dataset_dir=d\n"
+        "epochs=10\n"
+        "init_from=\n"
+        "init_seed=0\n"
+        "languages=a,b\n"
+        "lr=0.0003\n"
+        "optimizer=lion\n"
+        "output_dir=o\n"
+        "preset=l-b\n"
+        "regime=full\n"
+        "sampler_seed=4\n"
+        "warmup_steps=20\n"
+        "weight_decay=0.0\n"
+    )
+    written = tmp_path / "run.cfg"
+    written.write_text(text, encoding="utf-8")
+    assert RunConfig(**read_config_file(written)) == config
     trimmed = config_to_text(config, skip=("dataset_dir", "output_dir"))
     assert "dataset_dir" not in trimmed
 
@@ -303,7 +321,6 @@ def frozen_batch(dataset_dir, size, regime):
 )
 def test_frozen_parameters_get_no_gradient(dataset_dir, regime, frozen):
     model, records, choices, vocab = frozen_batch(dataset_dir, 8, regime)
-    assert model.trainable_mask == {name: p.requires_grad for name, p in model.params.items()}
     for image_cache in (None, {}):
         model.zero_grad()
         training.batch_loss(model, records, choices, vocab, image_cache=image_cache).backward()
