@@ -74,18 +74,10 @@ def pixel_batch(records) -> np.ndarray:
 class Dataset:
     records: list
     languages: list
-    root: Path | None = None
     ciphers: dict | None = None  # language -> {base word -> surface form}
 
     def __len__(self):
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class EpochPlan:
-    seed: int
-    epoch: int
-    choices: dict  # image id -> language code
 
 
 @dataclass
@@ -159,8 +151,8 @@ def choose_language(image_id: str, languages, epoch: int, seed: int) -> str:
     return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
 
 
-def sample_epoch(records, epoch: int, seed: int, languages=None) -> EpochPlan:
-    """Pick one caption language per image for an epoch."""
+def sample_epoch(records, epoch: int, seed: int, languages=None) -> dict:
+    """Pick one caption language per image for an epoch: {image id: language}."""
     if languages is None:
         if not records:
             raise ConfigError("sample_epoch: no records and no explicit language set")
@@ -168,8 +160,7 @@ def sample_epoch(records, epoch: int, seed: int, languages=None) -> EpochPlan:
     languages = list(languages)
     if not languages:
         raise ConfigError("sample_epoch: empty language set")
-    choices = {r.id: choose_language(r.id, languages, epoch, seed) for r in records}
-    return EpochPlan(seed=seed, epoch=epoch, choices=choices)
+    return {r.id: choose_language(r.id, languages, epoch, seed) for r in records}
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int):
@@ -390,7 +381,7 @@ def load_dataset(path) -> Dataset:
                 pixel_path=root / rel,
             )
         )
-    return Dataset(records=records, languages=languages, root=root)
+    return Dataset(records=records, languages=languages)
 
 
 def save_split(dataset_path, train_ids, val_ids) -> None:

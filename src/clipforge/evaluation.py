@@ -83,15 +83,20 @@ class RetrievalTask:
 
 
 def rank_items(task: RetrievalTask) -> np.ndarray:
-    """1-based rank of the best-ranked relevant candidate for each query."""
+    """1-based rank of the best-ranked relevant candidate for each query.
+
+    Counted, not sorted: the best relevant candidate is the highest-scoring
+    one (lowest index on a tie), and its rank is one plus the candidates
+    scoring higher plus those scoring the same at a lower index.
+    """
     scores = task.queries @ task.candidates.T
     ranks = np.empty(scores.shape[0], dtype=np.int64)
     for i, relevant in enumerate(task.relevance):
-        # stable sort of the negated scores: descending score, ties by index
-        order = np.argsort(-scores[i], kind="stable")
-        position = np.empty(order.size, dtype=np.int64)
-        position[order] = np.arange(order.size)
-        ranks[i] = position[sorted(relevant)].min() + 1
+        row = scores[i]
+        relevant = sorted(relevant)
+        best = relevant[int(np.argmax(row[relevant]))]  # argmax keeps the first of equal maxima
+        top = row[best]
+        ranks[i] = 1 + np.count_nonzero(row > top) + np.count_nonzero(row[:best] == top)
     return ranks
 
 

@@ -31,7 +31,8 @@ class Tensor:
 
     Leaf tensors are created directly from data; op results carry a
     backward rule and references to their parent tensors, forming an
-    implicit computation graph rooted at the final output.
+    implicit computation graph rooted at the final output. Only leaves
+    keep a ``.grad`` after backward(); op results never get one.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
@@ -401,9 +402,12 @@ def topo_order(root: Tensor) -> list:
 
 
 def backward(root: Tensor) -> None:
-    """Populate .grad of every requires_grad tensor reachable from a scalar
-    root. Fan-out contributions accumulate additively; across repeated calls
-    gradients also accumulate (reset .grad to None between steps)."""
+    """Add d(root)/d(leaf) to the .grad of every requires_grad leaf reachable
+    from a scalar root; a leaf is a tensor with no backward rule. Op results
+    get no .grad: their gradients live only until their own rule has run.
+    Fan-out contributions are summed into new arrays, never in place, since a
+    rule may hand one array to several parents. Across repeated calls leaf
+    gradients accumulate (reset .grad to None between steps)."""
     if root.size != 1:
         raise GraphError(f"backward: root must be a scalar, got shape {root.shape}")
     order = topo_order(root)
@@ -412,17 +416,11 @@ def backward(root: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
         if node._backward is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] += pg
-            else:
-                grads[key] = pg
+            if parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg

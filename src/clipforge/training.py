@@ -374,9 +374,11 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         state = optim.OptimizerState()
         next_epoch = 0
         best_val = float("inf")
-        _append_record(
-            out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)}
-        )
+        # a run killed before its first checkpoint restarts here but already has its run line
+        if not (out / RECORD_FILE).exists():
+            _append_record(
+                out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)}
+            )
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}
@@ -390,15 +392,15 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
 
     stats = []
-    val_plan = sample_epoch(val_records, 0, config.sampler_seed, languages)
+    val_choices = sample_epoch(val_records, 0, config.sampler_seed, languages)
     for epoch in range(next_epoch, config.epochs):
         start = time.perf_counter()
-        plan = sample_epoch(train_records, epoch, config.sampler_seed, languages)
+        choices = sample_epoch(train_records, epoch, config.sampler_seed, languages)
         rng = np.random.default_rng([config.data_seed, epoch])
         epoch_total, epoch_count, last_lr = 0.0, 0, 0.0
         for batch_ids in _iter_batches(train_ids, config.batch_size, rng):
             batch = [by_id[i] for i in batch_ids]
-            loss = batch_loss(model, batch, plan.choices, vocab, image_cache=image_cache)
+            loss = batch_loss(model, batch, choices, vocab, image_cache=image_cache)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -406,6 +408,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 )
             model.zero_grad()
             loss.backward()
+            del loss  # free this step's graph before the next batch's forward builds its own
             grads = {name: p.grad for name, p in trainable.items()}
             last_lr = _scheduled_lr(global_step, total_steps, config.lr, config.warmup_steps)
             step_fn(trainable, grads, state, make_cfg(last_lr))
@@ -414,7 +417,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             epoch_count += len(batch)
 
         val_loss = dataset_loss(
-            model, val_records, val_plan.choices, vocab, config.batch_size, image_cache=image_cache
+            model, val_records, val_choices, vocab, config.batch_size, image_cache=image_cache
         )
         entry = EpochStats(
             epoch=epoch,

@@ -345,7 +345,7 @@ def _run_steps(model, records, languages, vocab, steps, batch_size=16):
         for batch in training._iter_batches(records, batch_size, rng):
             if step >= steps:
                 break
-            loss = training.batch_loss(model, batch, plan.choices, vocab)
+            loss = training.batch_loss(model, batch, plan, vocab)
             model.zero_grad()
             loss.backward()
             grads = {name: p.grad for name, p in trainable.items()}
@@ -546,7 +546,7 @@ def _paired_run(step_fn, dataset_dir, preset="b-b"):
         for batch in training._iter_batches(train, 64, rng):
             if step >= PAIRED_STEPS:
                 break
-            loss = training.batch_loss(model, batch, plan.choices, vocab)
+            loss = training.batch_loss(model, batch, plan, vocab)
             model.zero_grad()
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()}
@@ -559,7 +559,7 @@ def _paired_run(step_fn, dataset_dir, preset="b-b"):
     by_id = {r.id: r for r in ds.records}
     val = [by_id[i] for i in val_ids]
     plan0 = data.sample_epoch(val, 0, 4, languages=ds.languages)
-    return last, training.dataset_loss(model, val, plan0.choices, vocab, 64)
+    return last, training.dataset_loss(model, val, plan0, vocab, 64)
 
 
 def test_optimizer_properties(toy_dataset, tmp_path_factory):
@@ -716,7 +716,7 @@ def test_data_pipeline_invariants(tmp_path):
     epochs = 1000
     for epoch in range(epochs):
         plan = data.sample_epoch(records, epoch, 4, languages=corpus.languages)
-        for lang in plan.choices.values():
+        for lang in plan.values():
             counts[lang] += 1
     n = len(records) * epochs
     p = 1.0 / len(corpus.languages)

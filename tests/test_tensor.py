@@ -287,6 +287,46 @@ def test_backward_shared_subexpression_accumulates():
 
     np.testing.assert_array_equal(x1.grad, x2.grad)
     np.testing.assert_allclose(x1.grad, 4 * base, rtol=1e-6)
+    assert z.grad is None  # only leaves keep a gradient
+
+
+def test_backward_shared_gradient_array_not_added_in_place():
+    # add() hands one gradient array to both parents when nothing broadcasts;
+    # adding b's second contribution into it must leave z's share alone
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    b = T.Tensor(np.array([3.0, 4.0]), requires_grad=True, dtype=np.float64)
+    w = np.array([0.5, -2.0])
+    z = T.add(T.scale(a, 1.5), b)
+    T.sum_(T.mul(T.add(z, b), T.Tensor(w, dtype=np.float64))).backward()
+    np.testing.assert_array_equal(a.grad, 1.5 * w)
+    np.testing.assert_array_equal(b.grad, 2.0 * w)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_add_mul_scale_graph_gradcheck(seed):
+    # node i may reuse any earlier node, so fan-out and shared gradient
+    # arrays occur in many shapes; the final sum reaches all three leaves
+    rng = np.random.default_rng(seed)
+    recipe = []
+    for i in range(3, 9):
+        op = ("add", "mul", "scale")[rng.integers(3)]
+        recipe.append((op, int(rng.integers(i)), int(rng.integers(i)), float(rng.uniform(-2, 2))))
+    arrays = [rng.uniform(-1, 1, (2, 3)) for _ in range(3)]
+    w = rng.uniform(-1, 1, (2, 3))
+
+    def build(leaves):
+        nodes = list(leaves)
+        for op, i, j, s in recipe:
+            if op == "scale":
+                nodes.append(T.scale(nodes[i], s))
+            else:
+                nodes.append(getattr(T, op)(nodes[i], nodes[j]))
+        out = nodes[-1]
+        for leaf in leaves:
+            out = T.add(out, leaf)
+        return _weighted_scalar(out, w)
+
+    _gradcheck(build, arrays)
 
 
 def test_backward_nonscalar_root_rejected():

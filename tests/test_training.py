@@ -214,6 +214,26 @@ def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path, regime):
     assert sum(1 for l in lines if l["record"] == "run") == 1
 
 
+def test_restart_after_kill_in_first_epoch_keeps_one_run_line(dataset_dir, tmp_path, monkeypatch):
+    batch_loss = training.batch_loss
+    calls = []
+
+    def dying_batch_loss(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return batch_loss(*args, **kwargs)
+
+    config = tiny_config(dataset_dir, tmp_path / "k")
+    monkeypatch.setattr(training, "batch_loss", dying_batch_loss)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config)
+    monkeypatch.setattr(training, "batch_loss", batch_loss)
+    run_training(config)
+    lines = [json.loads(l) for l in (tmp_path / "k" / training.RECORD_FILE).read_text().splitlines()]
+    assert [l["record"] for l in lines] == ["run", "epoch", "epoch"]
+
+
 @pytest.mark.parametrize("dying_call", [1, 2], ids=["state-missing", "state-behind"])
 def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_call):
     save_state = training._save_state
@@ -307,7 +327,7 @@ def frozen_batch(dataset_dir, size, regime):
     dataset = load_dataset(dataset_dir)
     vocab = Vocabulary.for_dataset(dataset)
     records = dataset.records[:size]
-    choices = sample_epoch(records, 0, 4, dataset.languages).choices
+    choices = sample_epoch(records, 0, 4, dataset.languages)
     cfg = M.ModelConfig.from_presets("b-b", vocab.size, training.MAX_TEXT_LEN, image_size=16)
     model = M.DualEncoderModel(cfg, init_seed=0)
     M.apply_freeze(model, M.FreezeRegime(regime))
