@@ -206,11 +206,6 @@ class DualEncoderModel:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _linear(x, w, b=None):
-    out = T.matmul(x, w)
-    return T.add(out, b) if b is not None else out
-
-
 def _attention(x, params, prefix: str, heads: int, bias):
     batch, seq, dim = x.shape
     head_dim = dim // heads
@@ -218,20 +213,18 @@ def _attention(x, params, prefix: str, heads: int, bias):
     def split(t):
         return T.swap_axes(T.reshape(t, (batch, seq, heads, head_dim)), 1, 2)
 
-    q = split(_linear(x, params[f"{prefix}/q/w"], params[f"{prefix}/q/b"]))
-    k = split(_linear(x, params[f"{prefix}/k/w"], params[f"{prefix}/k/b"]))
-    v = split(_linear(x, params[f"{prefix}/v/w"], params[f"{prefix}/v/b"]))
+    q, k, v = (split(T.linear(x, params[f"{prefix}/{n}/w"], params[f"{prefix}/{n}/b"])) for n in "qkv")
     scores = T.scale(T.matmul(q, T.swap_axes(k, 2, 3)), 1.0 / math.sqrt(head_dim))
     if bias is not None:
         scores = T.add(scores, T.Tensor(bias, dtype=scores.dtype))
     ctx = T.matmul(T.softmax(scores), v)
     ctx = T.reshape(T.swap_axes(ctx, 1, 2), (batch, seq, dim))
-    return _linear(ctx, params[f"{prefix}/out/w"], params[f"{prefix}/out/b"])
+    return T.linear(ctx, params[f"{prefix}/out/w"], params[f"{prefix}/out/b"])
 
 
 def _mlp(x, params, prefix: str):
-    h = T.gelu(_linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"]))
-    return _linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"])
+    h = T.gelu(T.linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"]))
+    return T.linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"])
 
 
 def _encoder(x, params, tower: str, layers: int, heads: int, attn_bias, pool_mask):
@@ -271,7 +264,7 @@ def image_features(model: DualEncoderModel, images) -> T.Tensor:
     pixels = raw.astype(np.float32) / 127.5 - 1.0
     patches = _patchify(pixels, cfg.patch_size)
     p = model.params
-    x = _linear(T.Tensor(patches), p["image/patch_embed/w"], p["image/patch_embed/b"])
+    x = T.linear(T.Tensor(patches), p["image/patch_embed/w"], p["image/patch_embed/b"])
     x = T.add(x, p["image/pos_embed"])
     pool_mask = np.ones((raw.shape[0], cfg.num_patches), dtype=np.float32)
     return _encoder(x, p, "image", cfg.image_layers, cfg.image_heads, None, pool_mask)
@@ -279,7 +272,7 @@ def image_features(model: DualEncoderModel, images) -> T.Tensor:
 
 def project_image(model: DualEncoderModel, pooled: T.Tensor) -> T.Tensor:
     """Map pooled image features to unit-norm rows of the shared space."""
-    return T.l2_normalize(T.matmul(pooled, model.params["proj/visual"]))
+    return T.l2_normalize(T.linear(pooled, model.params["proj/visual"]))
 
 
 def encode_image(model: DualEncoderModel, images) -> T.Tensor:
@@ -325,7 +318,7 @@ def encode_text(model: DualEncoderModel, tokens, lengths) -> T.Tensor:
     pooled = _encoder(
         x, p, "text", cfg.text_layers, cfg.text_heads, bias, valid.astype(np.float32)
     )
-    return T.l2_normalize(T.matmul(pooled, p["proj/text"]))
+    return T.l2_normalize(T.linear(pooled, p["proj/text"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff engine on dense numpy arrays.
 
-Covers exactly the operations a small pre-norm transformer dual encoder
-needs: matmul, elementwise arithmetic with trailing-shape broadcast, gelu,
-embedding lookup, reshape/axis swap, reductions, layer norm, softmax,
-softmax cross entropy, masked mean pooling and L2 normalization.
+Covers exactly the operations a small pre-norm transformer dual encoder needs:
+matmul, linear (matmul plus bias), elementwise arithmetic with trailing-shape
+broadcast, gelu, embedding lookup, reshape/axis swap, reductions, layer norm,
+softmax, softmax cross entropy, masked mean pooling and L2 normalization.
 
 Arrays are float32 by default. Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves runs end to end in float64 (used by the
@@ -137,6 +137,23 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(out, (a,), bwd, "scale")
 
 
+def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str) -> Tensor:
+    """x @ w (+ b) over x's last axis; both passes run as 2-D GEMMs."""
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0) if b.requires_grad else None)
+
+    return _result(out.reshape(*x.shape[:-1], n), (x, w) if b is None else (x, w, b), bwd, op)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Either both operands share identical leading batch
     dims, or b is a plain 2-D matrix applied along a's last axis."""
@@ -145,14 +162,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree between {a.shape} and {b.shape}")
     if b.ndim == 2:
-        out = a.data @ b.data
-
-        def bwd(g):
-            ga = g @ b.data.swapaxes(-1, -2)
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-
-        return _result(out, (a, b), bwd, "matmul")
+        return _gemm(a, b, None, "matmul")
     if a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul: batch dimensions disagree between {a.shape} and {b.shape}")
     out = a.data @ b.data
@@ -161,6 +171,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _result(out, (a, b), bwd, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b over x's last axis as one node; w is (in, out), b is (out,)."""
+    bias = None if b is None else b.shape
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
+        raise DimensionError(f"linear: input {x.shape}, weight {w.shape} and bias {bias} disagree")
+    return _gemm(x, w, b, "linear")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -199,16 +217,32 @@ def narrow_rows(a: Tensor, n: int) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, 0.044715)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= np.add(t, 1.0)
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * local,)
+        dinner = np.multiply(x, 3 * 0.044715)
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        local = np.multiply(t, t)
+        np.subtract(1.0, local, out=local)
+        slope = np.multiply(x, 0.5)
+        slope *= local
+        slope *= dinner
+        np.add(t, 1.0, out=local)
+        local *= 0.5
+        local += slope
+        local *= g
+        return (local,)
 
     return _result(out, (a,), bwd, "gelu")
 
@@ -407,7 +441,8 @@ def backward(root: Tensor) -> None:
     get no .grad: their gradients live only until their own rule has run.
     Fan-out contributions are summed into new arrays, never in place, since a
     rule may hand one array to several parents. Across repeated calls leaf
-    gradients accumulate (reset .grad to None between steps)."""
+    gradients accumulate (reset .grad to None between steps). A rule may
+    return None for a parent that does not require a gradient."""
     if root.size != 1:
         raise GraphError(f"backward: root must be a scalar, got shape {root.shape}")
     order = topo_order(root)

@@ -254,6 +254,15 @@ def _append_record(out: Path, entry: dict) -> None:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _trim_record(out: Path, next_epoch: int) -> None:
+    """Drop the epoch lines a restart at ``next_epoch`` writes again: a kill
+    after an epoch's record but before its checkpoint leaves them behind."""
+    path, tmp = out / RECORD_FILE, out / (RECORD_FILE + ".tmp")
+    lines = [l for l in path.read_text(encoding="utf-8").splitlines(keepends=True) if l.strip()]
+    tmp.write_text("".join(l for l in lines if json.loads(l).get("epoch", -1) < next_epoch), encoding="utf-8")
+    tmp.replace(path)
+
+
 @dataclass(frozen=True)
 class EpochStats:
     epoch: int
@@ -374,11 +383,10 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         state = optim.OptimizerState()
         next_epoch = 0
         best_val = float("inf")
-        # a run killed before its first checkpoint restarts here but already has its run line
-        if not (out / RECORD_FILE).exists():
-            _append_record(
-                out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)}
-            )
+    if (out / RECORD_FILE).exists():
+        _trim_record(out, next_epoch)
+    else:
+        _append_record(out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)})
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}
@@ -427,6 +435,8 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             seconds=time.perf_counter() - start,
         )
         stats.append(entry)
+        # record first: a kill before the checkpoint redoes the epoch, and _trim_record drops this line
+        _append_record(out, {"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
 
         if val_loss < best_val:
             best_val = val_loss
@@ -447,7 +457,6 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             },
         )
         _save_state(out / STATE_FILE, config.optimizer, state)
-        _append_record(out, {"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
         say(
             f"epoch {epoch + 1}/{config.epochs}: train {entry.train_loss:.4f}"
             f" val {entry.val_loss:.4f} lr {entry.last_lr:.2e} ({entry.seconds:.1f}s)"

@@ -1,4 +1,7 @@
+import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +82,62 @@ def test_matmul_linear_layer_gradcheck():
         b = RNG.uniform(-1, 1, (4, 5))
         w = RNG.uniform(-1, 1, (2, 3, 5))
         _gradcheck(lambda ts: _weighted_scalar(T.matmul(ts[0], ts[1]), w), [a, b], eps=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# linear
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_linear_gradcheck(x_shape, bias):
+    rng = np.random.default_rng([len(x_shape), bias])
+    for _ in range(N_INSTANCES):
+        arrays = [rng.uniform(-1, 1, x_shape), rng.uniform(-1, 1, (4, 5))]
+        if bias:
+            arrays.append(rng.uniform(-1, 1, (5,)))
+        w = rng.uniform(-1, 1, x_shape[:-1] + (5,))
+        _gradcheck(lambda ts: _weighted_scalar(T.linear(*ts), w), arrays, eps=1e-3)
+
+
+def test_linear_forward_matches_matmul_plus_add():
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.standard_normal((4, 6, 8)))
+    w = T.Tensor(rng.standard_normal((8, 5)))
+    b = T.Tensor(rng.standard_normal(5))
+    out = T.linear(x, w, b)
+    assert out.shape == (4, 6, 5) and out.dtype == np.float32
+    np.testing.assert_allclose(out.data, T.add(T.matmul(x, w), b).data, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(T.linear(x, w).data, T.matmul(x, w).data, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("frozen", [0, 1, 2], ids=["x", "w", "b"])
+def test_linear_returns_no_gradient_for_non_grad_parent(frozen):
+    rng = np.random.default_rng(22)
+    leaves = [
+        T.Tensor(rng.standard_normal(shape), requires_grad=i != frozen)
+        for i, shape in enumerate([(2, 3, 4), (4, 5), (5,)])
+    ]
+    out = T.linear(*leaves)
+    grads = out._backward(np.ones(out.shape, dtype=out.dtype))
+    assert [g is None for g in grads] == [i == frozen for i in range(3)]
+    T.sum_(out).backward()
+    for i, leaf in enumerate(leaves):
+        assert (leaf.grad is None) == (i == frozen)
+        assert leaf.grad is None or leaf.grad.shape == leaf.shape
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape",
+    [((2, 3), (4, 5), None), ((2, 4), (4, 5), (4,)), ((2, 4), (4,), None), ((2, 4), (4, 5), (1, 5))],
+)
+def test_linear_shape_error_names_the_shapes(x_shape, w_shape, b_shape):
+    b = None if b_shape is None else T.Tensor(np.zeros(b_shape))
+    with pytest.raises(DimensionError) as exc:
+        T.linear(T.Tensor(np.zeros(x_shape)), T.Tensor(np.zeros(w_shape)), b)
+    message = str(exc.value)
+    assert str(x_shape) in message and str(w_shape) in message
+    assert b_shape is None or str(b_shape) in message
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +235,26 @@ def test_gelu_gradcheck():
         x = RNG.uniform(-1, 1, (3, 4))
         w = RNG.uniform(-1, 1, (3, 4))
         _gradcheck(lambda ts: _weighted_scalar(T.gelu(ts[0]), w), [x])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bitwise_equals_textbook_formulas(dtype):
+    # the op computes in place; these are the out-of-place formulas it must reproduce
+    rng = np.random.default_rng(23)
+    x = (rng.standard_normal((8, 16, 64)) * 3).astype(dtype)
+    x.flat[:4] = [0.0, 30.0, -30.0, np.finfo(dtype).tiny / 4]
+    g = rng.standard_normal(x.shape).astype(dtype)
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    dinner = c * (1.0 + 3 * 0.044715 * x * x)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+    a = T.Tensor(x, requires_grad=True, dtype=dtype)
+    out = T.gelu(a)
+    T.sum_(T.mul(out, T.Tensor(g, dtype=dtype))).backward()
+    assert out.dtype == dtype and a.grad.dtype == dtype
+    assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
+    assert np.array_equal(a.grad, g * local)
 
 
 def test_exp_clamp_gradcheck():
@@ -345,6 +424,23 @@ def test_topo_order_parents_precede_consumers():
     for node in order:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_benchmark_ops_are_public_tensor_functions():
+    # the benchmark reads per-op metrics by these names and fails on one it cannot measure
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    public = {
+        name.rstrip("_")  # sum_ / mean_ are measured as sum / mean
+        for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+    }
+    named = {
+        entry["name"].split(".", 2)[2]
+        for entry in spec["per_layer"]
+        if entry["name"].startswith(("tensor.fwd_ms.", "tensor.calls."))
+    }
+    assert named, "BENCHMARK.json names no tensor op"
+    assert named <= public, f"BENCHMARK.json names ops clipforge.tensor lacks: {sorted(named - public)}"
 
 
 def test_ops_deterministic_and_finite():

@@ -234,6 +234,31 @@ def test_restart_after_kill_in_first_epoch_keeps_one_run_line(dataset_dir, tmp_p
     assert [l["record"] for l in lines] == ["run", "epoch", "epoch"]
 
 
+@pytest.mark.parametrize("written", [False, True], ids=["before-record", "after-record"])
+@pytest.mark.parametrize("epoch", [0, 1])
+def test_kill_around_epoch_record_keeps_each_epoch_once(dataset_dir, tmp_path, monkeypatch, epoch, written):
+    append = training._append_record
+
+    def dying_append(out, entry):
+        # the kill lands just before or just after this epoch's record line
+        if entry.get("epoch") == epoch:
+            if written:
+                append(out, entry)
+            raise KeyboardInterrupt
+        append(out, entry)
+
+    config = tiny_config(dataset_dir, tmp_path / "k", epochs=3)
+    monkeypatch.setattr(training, "_append_record", dying_append)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config)
+    monkeypatch.setattr(training, "_append_record", append)
+    run_training(config)
+    lines = [json.loads(l) for l in (tmp_path / "k" / training.RECORD_FILE).read_text().splitlines()]
+    assert [l["record"] for l in lines] == ["run", "epoch", "epoch", "epoch"]
+    assert [l["epoch"] for l in lines[1:]] == [0, 1, 2]
+    assert not (tmp_path / "k" / (training.RECORD_FILE + ".tmp")).exists()
+
+
 @pytest.mark.parametrize("dying_call", [1, 2], ids=["state-missing", "state-behind"])
 def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_call):
     save_state = training._save_state
