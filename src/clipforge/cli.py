@@ -256,8 +256,11 @@ def _baseline_section(report, spec_text: str, out: Path) -> None:
         print(f"baseline {source}:{model_name} mean {metric} = {value:.2f}{note}")
     for metric, gap in sorted(table.average_discrepancies().items()):
         print(f"warning: published {metric} average differs from recomputed mean by {gap:.3f}")
-    shared = [lang for lang in report.rows if lang in table.entries]
-    if not shared:
+    keys = E.baseline_keys(report.rows, table)
+    unmatched = [lang for lang in report.rows if lang not in keys]
+    if unmatched:
+        print(f"no published {source}:{model_name} counterpart for: {', '.join(unmatched)}")
+    if not keys:
         print("no shared languages with the baseline; skipping per-language deltas")
         return
     cmp = E.compare_to_baseline(report, table)

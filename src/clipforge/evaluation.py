@@ -364,6 +364,25 @@ class BaselineTable:
         }
 
 
+# Bundled-table language code -> FLORES-200 code, the naming of datagen and
+# NLLB.  A macrolanguage maps to the written standard FLORES-200 lists for it
+# (ar, fa, sw; both tables' Chinese captions are in simplified script).  Left
+# out: "no" (Bokmal and Nynorsk are separate FLORES-200 entries), "fil"
+# (FLORES-200 has Tagalog), "quz" (Cusco Quechua; FLORES-200 has Ayacucho) and
+# dataset names such as "coco_cn".
+TABLE_TO_FLORES = {
+    "ar": "arb_Arab", "bn": "ben_Beng", "cs": "ces_Latn", "da": "dan_Latn",
+    "de": "deu_Latn", "el": "ell_Grek", "en": "eng_Latn", "es": "spa_Latn",
+    "fa": "pes_Arab", "fi": "fin_Latn", "fr": "fra_Latn", "he": "heb_Hebr",
+    "hi": "hin_Deva", "hr": "hrv_Latn", "hu": "hun_Latn", "id": "ind_Latn",
+    "it": "ita_Latn", "ja": "jpn_Jpan", "jp": "jpn_Jpan", "ko": "kor_Hang",
+    "mi": "mri_Latn", "nl": "nld_Latn", "pl": "pol_Latn", "pt": "por_Latn",
+    "ro": "ron_Latn", "ru": "rus_Cyrl", "sv": "swe_Latn", "sw": "swh_Latn",
+    "te": "tel_Telu", "th": "tha_Thai", "tr": "tur_Latn", "uk": "ukr_Cyrl",
+    "vi": "vie_Latn", "zh": "zho_Hans",
+}
+
+
 def _baseline_root():
     return resources.files(__package__).joinpath("baselines")
 
@@ -415,6 +434,14 @@ def baseline_from_report(report: MetricReport, model: str, source: str) -> Basel
     )
 
 
+def baseline_keys(languages, baseline: BaselineTable) -> dict:
+    """{language: baseline entry name} for those of ``languages`` the table
+    covers, under the same code or through ``TABLE_TO_FLORES``."""
+    keys = {code: code for code in baseline.entries}
+    keys.update({TABLE_TO_FLORES[c]: c for c in baseline.entries if c in TABLE_TO_FLORES})
+    return {lang: keys[lang] for lang in languages if lang in keys}
+
+
 @dataclass(frozen=True)
 class BaselineComparison:
     model: str
@@ -429,23 +456,26 @@ class BaselineComparison:
 def compare_to_baseline(report: MetricReport, baseline: BaselineTable) -> BaselineComparison:
     """Per-language and average report-minus-baseline deltas.
 
+    Report languages are matched to table entries by ``baseline_keys`` and
+    keep their own names in the deltas.
+
     The baseline average is recomputed from its own per-language entries;
     any stored average cell further than 0.005 from the recomputed mean is
     flagged.  Average deltas use the stored cell when present, otherwise the
     recomputed mean.
     """
-    shared = [lang for lang in report.rows if lang in baseline.entries]
-    if not shared:
+    keys = baseline_keys(report.rows, baseline)
+    if not keys:
         raise ComparisonError(
             f"no shared languages: report has {sorted(report.rows)},"
             f" baseline {baseline.source}/{baseline.model} has {sorted(baseline.entries)}"
         )
     deltas = {}
-    for language in shared:
+    for language, key in keys.items():
         row = report.rows[language]
         deltas[language] = {
             metric: getattr(row, metric) - value
-            for metric, value in baseline.entries[language].items()
+            for metric, value in baseline.entries[key].items()
         }
     recomputed = baseline.recompute_average()
     reference = dict(recomputed)
@@ -458,7 +488,7 @@ def compare_to_baseline(report: MetricReport, baseline: BaselineTable) -> Baseli
     return BaselineComparison(
         model=baseline.model,
         source=baseline.source,
-        languages=tuple(shared),
+        languages=tuple(keys),
         deltas=deltas,
         average_delta=average_delta,
         recomputed_average=recomputed,

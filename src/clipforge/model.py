@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -285,7 +286,9 @@ def encode_text(model: DualEncoderModel, tokens, lengths) -> T.Tensor:
 
     tokens: int array [batch, seq]; lengths: valid token counts per row.
     Padding positions are excluded from both attention and pooling, so a
-    sequence's embedding does not depend on how far it was padded.
+    sequence's embedding does not depend on how far it was padded.  The
+    tower runs only up to the longest row, and masks keys only when some row
+    is shorter than that.
     """
     cfg = model.config
     tokens = np.asarray(tokens)
@@ -306,15 +309,21 @@ def encode_text(model: DualEncoderModel, tokens, lengths) -> T.Tensor:
             f"encode_text: lengths must lie in [1, {seq}], got"
             f" [{lengths.min()}, {lengths.max()}]"
         )
+    # columns past the longest caption are padding in every row: drop them
+    if lengths.size:
+        seq = int(lengths.max())
+        tokens = tokens[:, :seq]
     p = model.params
     x = T.embedding(p["text/token_embed"], tokens)
     x = T.add(x, T.narrow_rows(p["text/pos_embed"], seq))
     valid = np.arange(seq)[None, :] < lengths[:, None]
-    # additive key mask: padded keys get a large negative score pre-softmax
-    bias = np.where(valid, 0.0, -1e9).astype(np.float32)
-    bias = np.broadcast_to(
-        bias[:, None, None, :], (batch, cfg.text_heads, seq, seq)
-    )
+    bias = None
+    if not valid.all():
+        # additive key mask: padded keys get a large negative score pre-softmax
+        bias = np.where(valid, 0.0, -1e9).astype(np.float32)
+        bias = np.broadcast_to(
+            bias[:, None, None, :], (batch, cfg.text_heads, seq, seq)
+        )
     pooled = _encoder(
         x, p, "text", cfg.text_layers, cfg.text_heads, bias, valid.astype(np.float32)
     )
@@ -371,6 +380,18 @@ CHECKPOINT_MAGIC = b"NCLP"
 CHECKPOINT_VERSION = 1
 
 
+def replace_file(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
+
+    A process killed mid-write leaves the previous file whole.  There is no
+    fsync: this guards against a killed process, not a lost machine.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def write_tensor_file(path, header: dict, arrays: dict) -> None:
     """Serialize named float32 arrays with a JSON header.
 
@@ -397,8 +418,7 @@ def write_tensor_file(path, header: dict, arrays: dict) -> None:
         crc = zlib.crc32(payload, crc)
         chunks.append(payload)
     chunks.append(struct.pack("<I", crc))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    replace_file(path, b"".join(chunks))
 
 
 class _Cursor:

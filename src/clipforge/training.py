@@ -257,10 +257,10 @@ def _append_record(out: Path, entry: dict) -> None:
 def _trim_record(out: Path, next_epoch: int) -> None:
     """Drop the epoch lines a restart at ``next_epoch`` writes again: a kill
     after an epoch's record but before its checkpoint leaves them behind."""
-    path, tmp = out / RECORD_FILE, out / (RECORD_FILE + ".tmp")
+    path = out / RECORD_FILE
     lines = [l for l in path.read_text(encoding="utf-8").splitlines(keepends=True) if l.strip()]
-    tmp.write_text("".join(l for l in lines if json.loads(l).get("epoch", -1) < next_epoch), encoding="utf-8")
-    tmp.replace(path)
+    kept = "".join(l for l in lines if json.loads(l).get("epoch", -1) < next_epoch)
+    M.replace_file(path, kept.encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,22 @@ def test_eval_baseline_recompute_prints(run_dir, dataset_dir, tmp_path, capsys):
     )
     assert code == 0
     assert "mean r_at_1 = 42.96" in out
-    assert "no shared languages" in out
+    assert "counterpart for: aab_Ciph" in out
+
+
+def test_eval_baseline_compares_english_per_language(run_dir, dataset_dir, tmp_path, capsys):
+    # datagen names English by its FLORES-200 code, the table by its ISO code
+    code, out, _ = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"),
+        "--dataset", str(dataset_dir), "--output", str(tmp_path / "e"),
+        "--baseline", "xtd10:nllb-clip-base",
+    )
+    assert code == 0
+    assert "counterpart for: aab_Ciph" in out
+    rows = (tmp_path / "e" / "deltas_xtd10_nllb-clip-base.csv").read_text(encoding="utf-8").splitlines()
+    assert [r.split(",")[0] for r in rows] == ["language", "eng_Latn", "average"]
+    report = read_report_jsonl(tmp_path / "e" / "report.jsonl")
+    assert float(rows[1].split(",")[1]) == pytest.approx(report.rows["eng_Latn"].r_at_1 - 47.2)
 
 
 def test_eval_baseline_errors(run_dir, dataset_dir, tmp_path, capsys):

@@ -13,11 +13,13 @@ from clipforge.evaluation import (
     FIRST_CAPTION,
     IMAGE_TO_TEXT,
     METRIC_NAMES,
+    TABLE_TO_FLORES,
     TEXT_TO_IMAGE,
     BaselineTable,
     MetricRow,
     RetrievalTask,
     baseline_from_report,
+    baseline_keys,
     compare_to_baseline,
     evaluate,
     list_baseline_tables,
@@ -423,9 +425,22 @@ def test_compare_report_to_itself_is_zero():
 
 def test_compare_requires_shared_languages():
     report = small_report()
-    table = load_baseline_table("xtd10", "nllb-clip-base")
+    table = load_baseline_table("coco_it", "nllb-clip-base")
     with pytest.raises(ComparisonError):
         compare_to_baseline(report, table)
+
+
+def test_table_codes_match_flores_languages():
+    xtd = load_baseline_table("xtd10", "nllb-clip-base")
+    xm = load_baseline_table("crossmodal3600", "nllb-clip-base")
+    assert baseline_keys(["jpn_Jpan", "eng_Latn", "aab_Ciph", "en"], xtd) == {
+        "jpn_Jpan": "jp", "eng_Latn": "en", "en": "en"
+    }
+    assert baseline_keys(["jpn_Jpan", "quy_Latn"], xm) == {"jpn_Jpan": "ja"}
+    assert "quz" in xm.entries and "quz" not in TABLE_TO_FLORES
+    cmp = compare_to_baseline(small_report(), xtd)
+    assert cmp.languages == ("eng_Latn",)
+    assert set(cmp.deltas) == {"eng_Latn"}
 
 
 def test_compare_flags_inconsistent_average():

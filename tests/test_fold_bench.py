@@ -1,0 +1,69 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "fold_bench.py"
+spec = importlib.util.spec_from_file_location("fold_bench", TOOL)
+fold_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fold_bench)
+
+ENV = {"nproc": 2, "blas": "openblas 0.3.31", "src_nonblank_lines": 100}
+
+
+def write_result(directory, seed, throughput, rss, failed=0, src_lines=100):
+    directory.mkdir(parents=True, exist_ok=True)
+    measured = {
+        "setup_s": {"value": 1.0, "unit": "s"},
+        "run_s": {"value": 100.0 / throughput, "unit": "s"},
+        "throughput_per_s": {"value": throughput, "unit": "1/s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }
+    result = {
+        "correct": failed == 0,
+        "attempted": 4,
+        "failed": failed,
+        "metrics": measured if failed == 0 else {},
+        "env": dict(ENV, src_nonblank_lines=src_lines),
+        "measured": measured,
+    }
+    (directory / f"result-adapt_frozen_lion8-seed{seed}-trace0.json").write_text(json.dumps(result))
+
+
+def test_fold_two_sides_of_hand_made_runs(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    for seed, (p_rate, c_rate) in enumerate([(100, 150), (120, 110), (90, 160), (110, 110)], start=1):
+        write_result(parent, seed, p_rate, 100.0)
+        write_result(change, seed, c_rate, 103.0, src_lines=105)
+    write_result(parent, 9, 500, 100.0)  # unpaired: no change run at seed 9
+    out = tmp_path / "BENCH_0.json"
+    assert fold_bench.main([str(parent), str(change), str(out)]) == 0
+    bench = json.loads(out.read_text())
+
+    assert bench["env"]["parent"][0]["src_nonblank_lines"] == 100
+    assert bench["env"]["change"][0]["src_nonblank_lines"] == 105
+    workload = bench["workloads"]["adapt_frozen_lion8"]
+    assert workload["seeds"] == [1, 2, 3, 4]
+    assert workload["fail_ratio"] == {"parent": 0.0, "change": 0.0}
+    rate = workload["metrics"]["throughput_per_s"]
+    assert rate["parent"]["values"] == [100, 120, 90, 110]
+    assert rate["parent"]["median"] == 105
+    assert (rate["parent"]["q1"], rate["parent"]["q3"]) == (97.5, 112.5)
+    assert rate["change"]["median"] == 130
+    assert rate["pairs"] == 4 and rate["change_won"] == 2  # seed 4 is a tie
+    assert rate["median_ratio"] == pytest.approx(130 / 105)
+    rss = workload["metrics"]["peak_rss_mb"]
+    assert rss["better"] == "lower" and rss["bound"] == 0.1 and rss["change_won"] == 0
+    assert set(workload["metrics"]) == {"setup_s", "run_s", "throughput_per_s", "peak_rss_mb"}
+
+
+def test_fold_counts_failed_runs_and_refuses_an_empty_side(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    write_result(parent, 1, 100, 100.0)
+    write_result(change, 1, 100, 100.0, failed=1)
+    bench = fold_bench.fold(parent, change, json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text()))
+    assert bench["workloads"]["adapt_frozen_lion8"]["fail_ratio"] == {"parent": 0.0, "change": 0.25}
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(SystemExit):
+        fold_bench.read_side(tmp_path / "empty")

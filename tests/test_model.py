@@ -148,6 +148,56 @@ def test_encode_text_padding_invariance():
     np.testing.assert_allclose(short.data, padded.data, atol=1e-5)
 
 
+def _text_model(seed):
+    """A micro model for captions up to 9 tokens with trained-looking
+    position embeddings, and a generator seeded like it."""
+    cfg = micro_config(max_text_len=9)
+    model = DualEncoderModel(cfg, init_seed=seed)
+    rng = np.random.default_rng(seed)
+    model.params["text/pos_embed"].data = rng.normal(0, 0.5, (9, cfg.text_dim)).astype(np.float32)
+    return model, rng
+
+
+def test_mixed_length_batch_matches_each_caption_alone():
+    # rows shorter than the batch's longest caption go through the key mask
+    model, rng = _text_model(6)
+    lengths = np.array([3, 7, 5, 4, 7, 6])
+    tokens = rng.integers(0, 12, (len(lengths), 9))
+    batch = encode_text(model, tokens, lengths).data
+    for row, length in enumerate(lengths):
+        alone = encode_text(model, tokens[row : row + 1, :length], lengths[row : row + 1]).data
+        np.testing.assert_allclose(batch[row], alone[0], atol=1e-5)
+
+
+def test_padding_to_max_text_len_is_bitwise_inert():
+    lengths = np.array([3, 6, 4])
+    tokens = np.random.default_rng(12).integers(0, 12, (3, 9))
+    weights = T.Tensor(np.random.default_rng(13).normal(size=(3, 8)).astype(np.float32))
+    runs = []
+    for width in (9, int(lengths.max())):
+        model, _ = _text_model(7)
+        out = encode_text(model, tokens[:, :width], lengths)
+        T.backward(T.sum_(T.mul(out, weights)))
+        runs.append((model, out.data))
+    (full, full_out), (trimmed, trimmed_out) = runs
+    assert np.array_equal(full_out, trimmed_out)
+    for name in full.params:
+        if name.startswith("text/") or name == "proj/text":
+            assert np.array_equal(full.params[name].grad, trimmed.params[name].grad), name
+    pos_grad = full.params["text/pos_embed"].grad
+    assert not pos_grad[lengths.max() :].any()
+    assert pos_grad[: lengths.max()].any()
+
+
+@pytest.mark.parametrize("lengths", [[6, 6, 6], [4, 6, 6]], ids=["unpadded", "padded"])
+def test_attention_bias_only_when_a_row_is_padded(lengths):
+    model, rng = _text_model(8)
+    out = encode_text(model, rng.integers(0, 12, (3, 9)), np.array(lengths))
+    bias_adds = [n for n in T.topo_order(out) if n.op == "add" and n.ndim == 4]
+    padded = min(lengths) < max(lengths)
+    assert len(bias_adds) == (model.config.text_layers if padded else 0)
+
+
 def test_encode_text_rejects_bad_inputs():
     model = DualEncoderModel(micro_config(), init_seed=1)
     with pytest.raises(IndexError):

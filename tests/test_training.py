@@ -283,6 +283,44 @@ def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_
     assert "\n" not in str(exc.value)
 
 
+def test_kill_while_writing_last_checkpoint_keeps_the_previous_one(dataset_dir, tmp_path, monkeypatch):
+    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3))
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+    last_writes = []
+
+    def dying_open(path, mode="r", *args, **kwargs):
+        # the kill lands halfway through epoch 1's last.nclp bytes
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode and Path(path).name.startswith(training.LAST_CHECKPOINT):
+            last_writes.append(path)
+            if len(last_writes) == 2:
+                return HalfWrite(fh)
+        return fh
+
+    config = tiny_config(dataset_dir, tmp_path / "k", epochs=3)
+    monkeypatch.setattr(M, "open", dying_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config)
+    monkeypatch.undo()
+    resumed = run_training(config)
+    assert Path(resumed.last_checkpoint).read_bytes() == Path(straight.last_checkpoint).read_bytes()
+    assert not list((tmp_path / "k").glob("*.tmp"))
+
+
 def test_config_mismatch_refused(dataset_dir, tmp_path):
     out = tmp_path / "run"
     run_training(tiny_config(dataset_dir, out, epochs=1))
