@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_effective(path: Path, values: dict) -> None:
-    path.write_text(key_value_text(values), encoding="utf-8")
+    M.replace_file(path, key_value_text(values).encode("utf-8"))
 
 
 def _fresh_output_dir(out: Path, force: bool, command: str) -> None:

@@ -208,18 +208,8 @@ class DualEncoderModel:
 # ---------------------------------------------------------------------------
 
 def _attention(x, params, prefix: str, heads: int, bias):
-    batch, seq, dim = x.shape
-    head_dim = dim // heads
-
-    def split(t):
-        return T.swap_axes(T.reshape(t, (batch, seq, heads, head_dim)), 1, 2)
-
-    q, k, v = (split(T.linear(x, params[f"{prefix}/{n}/w"], params[f"{prefix}/{n}/b"])) for n in "qkv")
-    scores = T.scale(T.matmul(q, T.swap_axes(k, 2, 3)), 1.0 / math.sqrt(head_dim))
-    if bias is not None:
-        scores = T.add(scores, T.Tensor(bias, dtype=scores.dtype))
-    ctx = T.matmul(T.softmax(scores), v)
-    ctx = T.reshape(T.swap_axes(ctx, 1, 2), (batch, seq, dim))
+    q, k, v = (T.linear(x, params[f"{prefix}/{n}/w"], params[f"{prefix}/{n}/b"]) for n in "qkv")
+    ctx = T.attention(q, k, v, heads, bias)
     return T.linear(ctx, params[f"{prefix}/out/w"], params[f"{prefix}/out/b"])
 
 
@@ -320,10 +310,7 @@ def encode_text(model: DualEncoderModel, tokens, lengths) -> T.Tensor:
     bias = None
     if not valid.all():
         # additive key mask: padded keys get a large negative score pre-softmax
-        bias = np.where(valid, 0.0, -1e9).astype(np.float32)
-        bias = np.broadcast_to(
-            bias[:, None, None, :], (batch, cfg.text_heads, seq, seq)
-        )
+        bias = np.where(valid, 0.0, -1e9).astype(np.float32)[:, None, None, :]
     pooled = _encoder(
         x, p, "text", cfg.text_layers, cfg.text_heads, bias, valid.astype(np.float32)
     )

@@ -3,7 +3,8 @@
 Covers exactly the operations a small pre-norm transformer dual encoder needs:
 matmul, linear (matmul plus bias), elementwise arithmetic with trailing-shape
 broadcast, gelu, embedding lookup, reshape/axis swap, reductions, layer norm,
-softmax, softmax cross entropy, masked mean pooling and L2 normalization.
+softmax, multi-head attention (one node from q/k/v to the merged heads),
+softmax cross entropy, masked mean pooling and L2 normalization.
 
 Arrays are float32 by default. Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves runs end to end in float64 (used by the
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# elements per gelu forward block: its three slices and one scratch block stay
+# in a core's L2 across the nine passes instead of streaming from memory
+_GELU_BLOCK = 1 << 15
 
 
 class Tensor:
@@ -46,7 +50,7 @@ class Tensor:
         _backward: Optional[Callable] = None,
         op: str = "leaf",
     ):
-        if isinstance(data, np.ndarray) and _parents:
+        if isinstance(data, np.ndarray) and op != "leaf":
             self.data = data  # op results are already materialized
         else:
             self.data = np.asarray(data, dtype=dtype)
@@ -80,11 +84,13 @@ class Tensor:
 
 
 def _result(data, parents, backward_fn, op):
+    # a result no gradient flows through keeps no parents, so a forward
+    # without gradients frees each activation once its consumer has run
     req = any(p.requires_grad for p in parents)
     return Tensor(
         np.asarray(data),  # reductions yield numpy scalars; keep their dtype
         requires_grad=req,
-        _parents=tuple(parents),
+        _parents=tuple(parents) if req else (),
         _backward=backward_fn if req else None,
         op=op,
     )
@@ -217,16 +223,25 @@ def narrow_rows(a: Tensor, n: int) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal."""
+    """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal.
+
+    The forward runs block by block over the flattened array; every element
+    still sees the same operations in the same order."""
     x = a.data
-    t = np.multiply(x, 0.044715)
-    t *= x
-    t *= x
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.multiply(x, 0.5)
-    out *= np.add(t, 1.0)
+    t, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+    xf, tf, of = x.reshape(-1), t.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
+    for i in range(0, xf.size, _GELU_BLOCK):
+        xs, ts, ys = xf[i : i + _GELU_BLOCK], tf[i : i + _GELU_BLOCK], of[i : i + _GELU_BLOCK]
+        np.multiply(xs, 0.044715, out=ts)
+        ts *= xs
+        ts *= xs
+        ts += xs
+        ts *= _GELU_C
+        np.tanh(ts, out=ts)
+        np.multiply(xs, 0.5, out=ys)
+        one = np.add(ts, 1.0, out=scratch[: xs.size])
+        ys *= one
 
     def bwd(g):
         dinner = np.multiply(x, 3 * 0.044715)
@@ -320,23 +335,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    # two buffers, in the textbook formulas' operation order: bitwise equal
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+        t = np.multiply(g, xhat)
+        dgain = t.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gain.data
-        # standard fused layernorm backward
-        dx = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv
+        dx = np.multiply(g, gain.data)
+        np.multiply(dx, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=t)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= t
+        dx *= inv
         return dx, dgain, dbias
 
     return _result(out, (x, gain, bias), bwd, "layer_norm")
@@ -353,6 +371,53 @@ def softmax(x: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _result(out, (x,), bwd, "softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q, k, v are [batch, seq, dim] with dim split evenly into ``heads``; bias
+    is an optional additive score mask broadcastable to [batch, heads, seq,
+    seq].  Bitwise equal, forward and backward, to the public-op chain
+    reshape, swap_axes, matmul, scale, add, softmax, matmul, swap_axes,
+    reshape: every product runs on the same operand layout and the softmax
+    in the same operation order, on one score buffer updated in place.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[2] % heads:
+        raise DimensionError(
+            f"attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape} are not equal"
+            f" [batch, seq, dim] with dim divisible by {heads} heads"
+        )
+    batch, seq, dim = q.shape
+    split = (batch, seq, heads, dim // heads)
+    q4, k4, v4 = (t.data.reshape(split).swapaxes(1, 2) for t in (q, k, v))
+    s = np.asarray(1.0 / math.sqrt(split[3]), dtype=q.dtype)
+    p = q4 @ k4.swapaxes(2, 3)
+    p *= s
+    if bias is not None:
+        p += np.asarray(bias, dtype=p.dtype)
+    # row max by a loop over the short last axis: exact, and cheaper than max(axis=-1)
+    m = p[..., 0].copy()
+    for j in range(1, seq):
+        np.maximum(m, p[..., j], out=m)
+    p -= m[..., None]
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v4).swapaxes(1, 2).reshape(q.shape)
+
+    def bwd(g):
+        gctx = g.reshape(split).swapaxes(1, 2)
+        gv = p.swapaxes(-1, -2) @ gctx
+        gs = gctx @ v4.swapaxes(-1, -2)
+        dot = np.multiply(gs, p).sum(axis=-1, keepdims=True)
+        gs -= dot
+        gs *= p
+        gs *= s
+        gq = gs @ k4
+        gk = (q4.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return tuple(t.swapaxes(1, 2).reshape(q.shape) for t in (gq, gk, gv))
+
+    return _result(out, (q, k, v), bwd, "attention")
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:

@@ -344,7 +344,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 " use --force to start over"
             )
     else:
-        config_path.write_text(effective, encoding="utf-8")
+        M.replace_file(config_path, effective.encode("utf-8"))
 
     steps_per_epoch = sum(1 for _ in _iter_batches(train_ids, config.batch_size))
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT

@@ -170,6 +170,98 @@ def test_layer_norm_gradcheck():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_bitwise_equals_textbook_formula(dtype):
+    # the op reuses two buffers; these are the out-of-place formulas it must reproduce
+    rng = np.random.default_rng(29)
+    x = (rng.standard_normal((8, 16, 64)) * 3 + 1).astype(dtype)
+    x[0, 0] = 5.0  # a constant row
+    gain = rng.uniform(0.5, 1.5, 64).astype(dtype)
+    bias = rng.uniform(-0.5, 0.5, 64).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + np.asarray(1e-5, dtype=dtype))
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+
+    leaves = [T.Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias)]
+    out = T.layer_norm(*leaves)
+    T.sum_(T.mul(out, T.Tensor(g, dtype=dtype))).backward()
+    assert out.dtype == dtype and all(leaf.grad.dtype == dtype for leaf in leaves)
+    assert np.array_equal(out.data, xhat * gain + bias)
+    assert np.array_equal(leaves[0].grad, dx)
+    assert np.array_equal(leaves[1].grad, (g * xhat).reshape(-1, 64).sum(axis=0))
+    assert np.array_equal(leaves[2].grad, g.reshape(-1, 64).sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def _attention_chain(q, k, v, heads, bias):
+    """The public-op chain T.attention fuses."""
+    batch, seq, dim = q.shape
+
+    def split(t):
+        return T.swap_axes(T.reshape(t, (batch, seq, heads, dim // heads)), 1, 2)
+
+    q, k, v = split(q), split(k), split(v)
+    scores = T.scale(T.matmul(q, T.swap_axes(k, 2, 3)), 1.0 / math.sqrt(dim // heads))
+    if bias is not None:
+        scores = T.add(scores, T.Tensor(np.broadcast_to(bias, scores.shape), dtype=scores.dtype))
+    ctx = T.matmul(T.softmax(scores), v)
+    return T.reshape(T.swap_axes(ctx, 1, 2), (batch, seq, dim))
+
+
+def _key_mask(lengths, seq):
+    """Additive [batch, 1, 1, seq] bias hiding keys at or past each row's length."""
+    valid = np.arange(seq)[None, :] < np.asarray(lengths)[:, None]
+    return np.where(valid, 0.0, -1e9)[:, None, None, :]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_attention_bitwise_equals_unfused_chain(masked):
+    rng = np.random.default_rng(31)
+    arrays = [rng.standard_normal((4, 16, 64)).astype(np.float32) for _ in range(3)]
+    g = rng.standard_normal((4, 16, 64)).astype(np.float32)
+    bias = _key_mask([16, 3, 9, 1], 16).astype(np.float32) if masked else None
+    runs = []
+    for op in (T.attention, _attention_chain):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves, 4, bias)
+        T.sum_(T.mul(out, T.Tensor(g))).backward()
+        runs.append([out.data] + [leaf.grad for leaf in leaves])
+    for fused, chain in zip(*runs):
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused, chain)
+
+
+@pytest.mark.parametrize(
+    "seq, bias",
+    [
+        (1, None),
+        (4, None),
+        (4, _key_mask([4, 2], 4)),
+        (4, np.where(np.arange(4) == 2, -1e9, 0.0)[None, None, None, :]),  # one key hidden from every query
+    ],
+    ids=["seq1", "unmasked", "padded-row", "masked-key-column"],
+)
+def test_attention_gradcheck(seq, bias):
+    for _ in range(N_INSTANCES // 4):
+        arrays = [RNG.uniform(-1, 1, (2, seq, 6)) for _ in range(3)]
+        w = RNG.uniform(-1, 1, (2, seq, 6))
+        _gradcheck(lambda ts: _weighted_scalar(T.attention(*ts, 3, bias), w), arrays)
+
+
+def test_attention_shape_error_names_the_shapes():
+    q = T.Tensor(np.zeros((2, 3, 6)))
+    with pytest.raises(DimensionError, match=r"\(2, 3, 6\)"):
+        T.attention(q, q, q, 4)
+    with pytest.raises(DimensionError, match=r"\(2, 4, 6\)"):
+        T.attention(q, T.Tensor(np.zeros((2, 4, 6))), q, 3)
+
+
 # ---------------------------------------------------------------------------
 # softmax cross entropy
 # ---------------------------------------------------------------------------
@@ -253,6 +345,23 @@ def test_gelu_bitwise_equals_textbook_formulas(dtype):
     out = T.gelu(a)
     T.sum_(T.mul(out, T.Tensor(g, dtype=dtype))).backward()
     assert out.dtype == dtype and a.grad.dtype == dtype
+    assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
+    assert np.array_equal(a.grad, g * local)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_blocks_bitwise_equal_one_pass(dtype):
+    # over two forward blocks plus a ragged tail, read from a transposed input
+    rng = np.random.default_rng(37)
+    x = (rng.standard_normal((64, 2 * T._GELU_BLOCK // 64 + 3)) * 3).astype(dtype).T
+    g = rng.standard_normal(x.shape).astype(dtype)
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * x * x))
+
+    a = T.Tensor(x, requires_grad=True, dtype=dtype)
+    out = T.gelu(a)
+    T.sum_(T.mul(out, T.Tensor(g, dtype=dtype))).backward()
     assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
     assert np.array_equal(a.grad, g * local)
 
@@ -406,6 +515,16 @@ def test_random_add_mul_scale_graph_gradcheck(seed):
         return _weighted_scalar(out, w)
 
     _gradcheck(build, arrays)
+
+
+def test_result_without_gradient_keeps_no_parents():
+    a = T.Tensor(np.ones((2, 3)))
+    b = T.Tensor(np.ones(3), requires_grad=True)
+    frozen = T.layer_norm(T.gelu(T.add(a, a)), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)))
+    assert frozen._parents == () and frozen._backward is None and not frozen.requires_grad
+    assert T.add(frozen, b)._parents == (frozen, b)
+    # the float64 dtype of a result with no gradient is kept
+    assert T.scale(T.Tensor(np.ones(2), dtype=np.float64), 2.0).dtype == np.float64
 
 
 def test_backward_nonscalar_root_rejected():

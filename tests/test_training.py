@@ -283,41 +283,62 @@ def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_
     assert "\n" not in str(exc.value)
 
 
-def test_kill_while_writing_last_checkpoint_keeps_the_previous_one(dataset_dir, tmp_path, monkeypatch):
-    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3))
+class _HalfWrite:
+    """A file handle that writes half of its first write's bytes, then dies."""
 
-    class HalfWrite:
-        def __init__(self, fh):
-            self.fh = fh
+    def __init__(self, fh):
+        self.fh = fh
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            self.fh.close()
+    def __exit__(self, *exc):
+        self.fh.close()
 
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            raise KeyboardInterrupt
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise KeyboardInterrupt
 
-    last_writes = []
+
+def _dying_open(name, nth):
+    """open() that kills the nth write of a file whose name starts with name halfway through."""
+    writes = []
 
     def dying_open(path, mode="r", *args, **kwargs):
-        # the kill lands halfway through epoch 1's last.nclp bytes
         fh = open(path, mode, *args, **kwargs)
-        if "w" in mode and Path(path).name.startswith(training.LAST_CHECKPOINT):
-            last_writes.append(path)
-            if len(last_writes) == 2:
-                return HalfWrite(fh)
+        if "w" in mode and Path(path).name.startswith(name):
+            writes.append(path)
+            if len(writes) == nth:
+                return _HalfWrite(fh)
         return fh
 
+    return dying_open
+
+
+def test_kill_while_writing_last_checkpoint_keeps_the_previous_one(dataset_dir, tmp_path, monkeypatch):
+    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3))
     config = tiny_config(dataset_dir, tmp_path / "k", epochs=3)
-    monkeypatch.setattr(M, "open", dying_open, raising=False)
+    # the kill lands halfway through epoch 1's last.nclp bytes
+    monkeypatch.setattr(M, "open", _dying_open(training.LAST_CHECKPOINT, 2), raising=False)
     with pytest.raises(KeyboardInterrupt):
         run_training(config)
     monkeypatch.undo()
     resumed = run_training(config)
     assert Path(resumed.last_checkpoint).read_bytes() == Path(straight.last_checkpoint).read_bytes()
+    assert not list((tmp_path / "k").glob("*.tmp"))
+
+
+def test_kill_while_writing_effective_config_restarts_cleanly(dataset_dir, tmp_path, monkeypatch):
+    straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=1))
+    config = tiny_config(dataset_dir, tmp_path / "k", epochs=1)
+    monkeypatch.setattr(M, "open", _dying_open(training.EFFECTIVE_CONFIG, 1), raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config)
+    monkeypatch.undo()
+    assert not (tmp_path / "k" / training.EFFECTIVE_CONFIG).exists()
+    restarted = run_training(config)
+    assert Path(restarted.last_checkpoint).read_bytes() == Path(straight.last_checkpoint).read_bytes()
+    assert (tmp_path / "k" / training.EFFECTIVE_CONFIG).read_text() == config_to_text(config)
     assert not list((tmp_path / "k").glob("*.tmp"))
 
 
