@@ -394,10 +394,16 @@ def load_split(dataset_path):
     if not path.is_file():
         raise DatasetFormatError(f"no split file at {path}")
     train_ids, val_ids = [], []
+    first_line: dict = {}  # record id -> line that listed it
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line:
             continue
         rid, _, label = line.partition("\t")
+        if rid in first_line:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: record {rid!r} is already listed on line {first_line[rid]}"
+            )
+        first_line[rid] = lineno
         if label == "train":
             train_ids.append(rid)
         elif label == "val":

@@ -207,24 +207,25 @@ class DualEncoderModel:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _attention(x, params, prefix: str, heads: int, bias):
+def _attention(x, params, prefix: str, heads: int, bias, residual):
     q, k, v = (T.linear(x, params[f"{prefix}/{n}/w"], params[f"{prefix}/{n}/b"]) for n in "qkv")
     ctx = T.attention(q, k, v, heads, bias)
-    return T.linear(ctx, params[f"{prefix}/out/w"], params[f"{prefix}/out/b"])
+    return T.linear(ctx, params[f"{prefix}/out/w"], params[f"{prefix}/out/b"], residual)
 
 
-def _mlp(x, params, prefix: str):
+def _mlp(x, params, prefix: str, residual):
     h = T.gelu(T.linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"]))
-    return T.linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"])
+    return T.linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"], residual)
 
 
 def _encoder(x, params, tower: str, layers: int, heads: int, attn_bias, pool_mask):
+    # each sublayer's residual add happens inside its output linear
     for i in range(layers):
         blk = f"{tower}/block{i}"
         normed = T.layer_norm(x, params[f"{blk}/ln1/g"], params[f"{blk}/ln1/b"])
-        x = T.add(x, _attention(normed, params, f"{blk}/attn", heads, attn_bias))
+        x = _attention(normed, params, f"{blk}/attn", heads, attn_bias, x)
         normed = T.layer_norm(x, params[f"{blk}/ln2/g"], params[f"{blk}/ln2/b"])
-        x = T.add(x, _mlp(normed, params, f"{blk}/mlp"))
+        x = _mlp(normed, params, f"{blk}/mlp", x)
     x = T.layer_norm(x, params[f"{tower}/final_ln/g"], params[f"{tower}/final_ln/b"])
     return T.masked_mean(x, pool_mask)
 

@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff engine on dense numpy arrays.
 
 Covers exactly the operations a small pre-norm transformer dual encoder needs:
-matmul, linear (matmul plus bias), elementwise arithmetic with trailing-shape
+matmul, linear (matmul plus bias, optionally plus a residual added into the
+GEMM output buffer), elementwise arithmetic with trailing-shape
 broadcast, gelu, embedding lookup, reshape/axis swap, reductions, layer norm,
 softmax, multi-head attention (one node from q/k/v to the merged heads),
 softmax cross entropy, masked mean pooling and L2 normalization.
@@ -25,8 +26,9 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# elements per gelu forward block: its three slices and one scratch block stay
-# in a core's L2 across the nine passes instead of streaming from memory
+# elements per gelu block: the forward's three slices and one scratch block, and
+# the backward's four slices and two scratch blocks, stay in a core's L2 across
+# their passes instead of streaming from memory
 _GELU_BLOCK = 1 << 15
 
 
@@ -143,21 +145,30 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(out, (a,), bwd, "scale")
 
 
-def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str) -> Tensor:
-    """x @ w (+ b) over x's last axis; both passes run as 2-D GEMMs."""
+def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional[Tensor] = None) -> Tensor:
+    """x @ w (+ b) (+ residual) over x's last axis; both passes run as 2-D GEMMs."""
     k, n = w.shape
     x2 = x.data.reshape(-1, k)
     out = x2 @ w.data
     if b is not None:
         out += b.data
+    if residual is not None:
+        out += residual.data.reshape(-1, n)
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0) if b.requires_grad else None)
+        grads = [
+            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            x2.T @ g2 if w.requires_grad else None,
+        ]
+        if b is not None:
+            grads.append(g2.sum(axis=0) if b.requires_grad else None)
+        if residual is not None:
+            grads.append(g)  # handed through as it is, as add does
+        return grads
 
-    return _result(out.reshape(*x.shape[:-1], n), (x, w) if b is None else (x, w, b), bwd, op)
+    parents = tuple(t for t in (x, w, b, residual) if t is not None)
+    return _result(out.reshape(*x.shape[:-1], n), parents, bwd, op)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -179,12 +190,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bwd, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w + b over x's last axis as one node; w is (in, out), b is (out,)."""
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None, residual: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b (+ residual) over x's last axis as one node; w is (in, out), b is (out,).
+
+    A residual shaped like the output is added into the GEMM output buffer
+    after the bias: bitwise equal to add(residual, linear(x, w, b)), since
+    IEEE addition commutes, without a second full-size array or node."""
     bias = None if b is None else b.shape
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
         raise DimensionError(f"linear: input {x.shape}, weight {w.shape} and bias {bias} disagree")
-    return _gemm(x, w, b, "linear")
+    out_shape = x.shape[:-1] + w.shape[1:]
+    if residual is not None and residual.shape != out_shape:
+        raise DimensionError(f"linear: residual {residual.shape} does not match the output {out_shape}")
+    return _gemm(x, w, b, "linear", residual)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -225,8 +243,8 @@ def narrow_rows(a: Tensor, n: int) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal.
 
-    The forward runs block by block over the flattened array; every element
-    still sees the same operations in the same order."""
+    Forward and backward run block by block over the flattened array; every
+    element still sees the same operations in the same order."""
     x = a.data
     t, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
     xf, tf, of = x.reshape(-1), t.reshape(-1), out.reshape(-1)
@@ -244,20 +262,27 @@ def gelu(a: Tensor) -> Tensor:
         ys *= one
 
     def bwd(g):
-        dinner = np.multiply(x, 3 * 0.044715)
-        dinner *= x
-        dinner += 1.0
-        dinner *= _GELU_C
-        local = np.multiply(t, t)
-        np.subtract(1.0, local, out=local)
-        slope = np.multiply(x, 0.5)
-        slope *= local
-        slope *= dinner
-        np.add(t, 1.0, out=local)
-        local *= 0.5
-        local += slope
-        local *= g
-        return (local,)
+        # block by block like the forward: one output array, two scratch blocks
+        gx = np.empty(x.shape, x.dtype)
+        gf, df = g.reshape(-1), gx.reshape(-1)
+        dinner, slope = np.empty((2, min(xf.size, _GELU_BLOCK)), x.dtype)
+        for i in range(0, xf.size, _GELU_BLOCK):
+            xs, ts, local = xf[i : i + _GELU_BLOCK], tf[i : i + _GELU_BLOCK], df[i : i + _GELU_BLOCK]
+            di, sl = dinner[: xs.size], slope[: xs.size]
+            np.multiply(xs, 3 * 0.044715, out=di)
+            di *= xs
+            di += 1.0
+            di *= _GELU_C
+            np.multiply(ts, ts, out=local)
+            np.subtract(1.0, local, out=local)
+            np.multiply(xs, 0.5, out=sl)
+            sl *= local
+            sl *= di
+            np.add(ts, 1.0, out=local)
+            local *= 0.5
+            local += sl
+            local *= gf[i : i + _GELU_BLOCK]
+        return (gx,)
 
     return _result(out, (a,), bwd, "gelu")
 

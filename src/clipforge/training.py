@@ -220,9 +220,12 @@ def batch_loss(
 
 
 def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=None) -> float:
+    # the same arrays with requires_grad off: no validation batch keeps a graph
+    params = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in model.params.items()}
+    frozen = M.DualEncoderModel(model.config, params=params)
     total, count = 0.0, 0
     for batch in _iter_batches(records, batch_size):
-        loss = float(batch_loss(model, batch, choices, vocab, image_cache=image_cache).data)
+        loss = float(batch_loss(frozen, batch, choices, vocab, image_cache=image_cache).data)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:

@@ -396,6 +396,21 @@ def test_split_file_bad_label(tmp_path):
         load_split(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "lines, rid, lineno",
+    [
+        (["img1\ttrain", "img2\ttrain", "img1\tval", "img2\ttrain"], "img1", 3),
+        (["a\tval", "b\tval", "b\tval"], "b", 3),
+    ],
+    ids=["train-and-val", "twice-in-val"],
+)
+def test_split_file_listing_a_record_twice_is_refused(tmp_path, lines, rid, lineno):
+    (tmp_path / "splits.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_split(tmp_path)
+    assert repr(rid) in str(exc.value) and f":{lineno}:" in str(exc.value)
+
+
 def test_manifest_digest_tracks_content(tmp_path):
     ds = generate_synthetic_corpus(6, 2, image_size=16, seed=11)
     save_dataset(ds, tmp_path / "x")

@@ -12,7 +12,7 @@ spec.loader.exec_module(fold_bench)
 ENV = {"nproc": 2, "blas": "openblas 0.3.31", "src_nonblank_lines": 100}
 
 
-def write_result(directory, seed, throughput, rss, failed=0, src_lines=100):
+def write_result(directory, seed, throughput, rss, failed=0, src_lines=100, digest="d0", steps=True):
     directory.mkdir(parents=True, exist_ok=True)
     measured = {
         "setup_s": {"value": 1.0, "unit": "s"},
@@ -20,12 +20,15 @@ def write_result(directory, seed, throughput, rss, failed=0, src_lines=100):
         "throughput_per_s": {"value": throughput, "unit": "1/s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"},
     }
+    if steps:
+        measured["step_ms_p50"] = {"value": 6400.0 / throughput, "unit": "ms"}
     result = {
         "correct": failed == 0,
         "attempted": 4,
         "failed": failed,
         "metrics": measured if failed == 0 else {},
         "env": dict(ENV, src_nonblank_lines=src_lines),
+        "records": {"loss_digest": digest},
         "measured": measured,
     }
     (directory / f"result-adapt_frozen_lion8-seed{seed}-trace0.json").write_text(json.dumps(result))
@@ -35,8 +38,13 @@ def test_fold_two_sides_of_hand_made_runs(tmp_path):
     parent, change = tmp_path / "p", tmp_path / "c"
     for seed, (p_rate, c_rate) in enumerate([(100, 150), (120, 110), (90, 160), (110, 110)], start=1):
         write_result(parent, seed, p_rate, 100.0)
-        write_result(change, seed, c_rate, 103.0, src_lines=105)
+        write_result(change, seed, c_rate, 103.0, src_lines=105, digest="d1" if seed == 2 else "d0")
     write_result(parent, 9, 500, 100.0)  # unpaired: no change run at seed 9
+    for side, calls in ((parent, 90), (change, 66)):  # one traced run per side at seed 3
+        traced = {"measured": {"tensor.calls.add": {"value": calls, "unit": "count"}}}
+        if side is change:
+            traced["measured"]["tensor.calls.linear"] = {"value": 10, "unit": "count"}
+        (side / "result-adapt_frozen_lion8-seed3-trace1.json").write_text(json.dumps(traced))
     out = tmp_path / "BENCH_0.json"
     assert fold_bench.main([str(parent), str(change), str(out)]) == 0
     bench = json.loads(out.read_text())
@@ -56,14 +64,23 @@ def test_fold_two_sides_of_hand_made_runs(tmp_path):
     rss = workload["metrics"]["peak_rss_mb"]
     assert rss["better"] == "lower" and rss["bound"] == 0.1 and rss["change_won"] == 0
     assert set(workload["metrics"]) == {"setup_s", "run_s", "throughput_per_s", "peak_rss_mb"}
+    # the step time is reported without a bound; one pair's digests differ
+    step = workload["reported"]["step_ms_p50"]
+    assert step["parent"]["values"] == [64.0, 6400 / 120, 6400 / 90, 6400 / 110]
+    assert step["better"] == "lower" and "bound" not in step and step["change_won"] == 2
+    assert workload["records_equal_pairs"] == 3
+    # per-layer metrics of the traced runs, where both sides measured them
+    assert workload["traced"] == {"3": {"tensor.calls.add": {"unit": "count", "parent": 90, "change": 66}}}
 
 
 def test_fold_counts_failed_runs_and_refuses_an_empty_side(tmp_path):
     parent, change = tmp_path / "p", tmp_path / "c"
     write_result(parent, 1, 100, 100.0)
-    write_result(change, 1, 100, 100.0, failed=1)
+    write_result(change, 1, 100, 100.0, failed=1, steps=False)
     bench = fold_bench.fold(parent, change, json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text()))
-    assert bench["workloads"]["adapt_frozen_lion8"]["fail_ratio"] == {"parent": 0.0, "change": 0.25}
+    workload = bench["workloads"]["adapt_frozen_lion8"]
+    assert workload["fail_ratio"] == {"parent": 0.0, "change": 0.25}
+    assert workload["reported"] == {}  # one side measured no step time
     (tmp_path / "empty").mkdir()
     with pytest.raises(SystemExit):
         fold_bench.read_side(tmp_path / "empty")

@@ -127,6 +127,39 @@ def test_linear_returns_no_gradient_for_non_grad_parent(frozen):
         assert leaf.grad is None or leaf.grad.shape == leaf.shape
 
 
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("x_shape", [(6, 8), (4, 6, 8)], ids=["2d", "3d"])
+def test_linear_residual_bitwise_equals_linear_plus_add(x_shape, bias):
+    rng = np.random.default_rng([len(x_shape), bias, 23])
+    shapes = [x_shape, (8, 5)] + ([(5,)] if bias else []) + [x_shape[:-1] + (5,)]
+    arrays = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    g = rng.standard_normal(shapes[-1]).astype(np.float32)
+    outcomes = []
+    for fused in (True, False):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        *operands, residual = leaves
+        if fused:
+            out = T.linear(*operands, residual=residual)
+        else:
+            out = T.add(residual, T.linear(*operands))
+        T.sum_(T.mul(out, T.Tensor(g))).backward()
+        outcomes.append([out.data] + [leaf.grad for leaf in leaves])
+    assert outcomes[0][0].dtype == np.float32
+    assert all(np.array_equal(f, u) for f, u in zip(*outcomes))
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_linear_residual_gradcheck(bias):
+    rng = np.random.default_rng([bias, 24])
+    for _ in range(N_INSTANCES):
+        arrays = [rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, (4, 5))]
+        if bias:
+            arrays.append(rng.uniform(-1, 1, (5,)))
+        arrays.append(rng.uniform(-1, 1, (2, 3, 5)))
+        w = rng.uniform(-1, 1, (2, 3, 5))
+        _gradcheck(lambda ts: _weighted_scalar(T.linear(*ts[:-1], residual=ts[-1]), w), arrays, eps=1e-3)
+
+
 @pytest.mark.parametrize(
     "x_shape, w_shape, b_shape",
     [((2, 3), (4, 5), None), ((2, 4), (4, 5), (4,)), ((2, 4), (4,), None), ((2, 4), (4, 5), (1, 5))],
@@ -138,6 +171,13 @@ def test_linear_shape_error_names_the_shapes(x_shape, w_shape, b_shape):
     message = str(exc.value)
     assert str(x_shape) in message and str(w_shape) in message
     assert b_shape is None or str(b_shape) in message
+
+
+@pytest.mark.parametrize("r_shape", [(2, 4), (5,), (1, 2, 5)])
+def test_linear_residual_shape_error_names_the_shapes(r_shape):
+    with pytest.raises(DimensionError) as exc:
+        T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 5))), residual=T.Tensor(np.zeros(r_shape)))
+    assert str(r_shape) in str(exc.value) and str((2, 5)) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,25 @@ def test_image_cache_gives_the_same_loss_and_gradients(dataset_dir):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+def test_validation_loss_builds_no_graph(dataset_dir, monkeypatch):
+    model, records, choices, vocab = frozen_batch(dataset_dir, 20, "full")
+    expected = sum(  # the loss through the trainable parameters themselves
+        float(training.batch_loss(model, batch, choices, vocab).data) * len(batch)
+        for batch in training._iter_batches(records, 8)
+    ) / len(records)
+    losses, clip_loss = [], training.clip_loss
+
+    def recording_clip_loss(logits):
+        losses.append(clip_loss(logits))
+        return losses[-1]
+
+    monkeypatch.setattr(training, "clip_loss", recording_clip_loss)
+    assert training.dataset_loss(model, records, choices, vocab, 8) == expected
+    assert len(losses) == 3
+    assert all(loss._backward is None and loss._parents == () for loss in losses)
+    assert all(p.requires_grad for p in model.params.values())
+
+
 def test_non_finite_loss_aborts(dataset_dir, tmp_path, monkeypatch):
     def poisoned(model, records, choices, vocab, **_):
         return T.Tensor(np.float32(np.nan))

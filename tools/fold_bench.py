@@ -10,9 +10,14 @@ Each directory holds the ``result-<workload>-seed<N>-trace0.json`` files that
 is a pair, and only pairs count.  For every workload and every end-to-end
 metric that ``BENCHMARK.json`` lists, the output gives each side's median,
 quartiles and values, the paired seeds and the pairs the change won (ties
-count for neither side), plus ``fail_ratio`` per side.  It also records
-each side's environment line (cores, BLAS, python, numpy, ``src/``
-non-blank lines) as the runs saved it.  Standard library only.
+count for neither side), plus ``fail_ratio`` per side.  The step time
+``step_ms_p50`` is folded the same way under ``reported``, without a bound,
+and ``records_equal_pairs`` counts the pairs whose ``records`` digests
+(checkpoint, loss, report) are equal on both sides.  Where both sides also
+hold a ``--trace 1`` result of a workload at one seed, ``traced`` gives
+every per-layer metric both measured, side by side.  It also records each
+side's environment line (cores, BLAS, python, numpy, ``src/`` non-blank
+lines) as the runs saved it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,18 +29,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
+# folded like the end-to-end metrics where every paired run measured them, but
+# BENCHMARK.json sets them no bound: {name: (unit, better)}
+REPORTED = {"step_ms_p50": ("ms", "lower")}
 
 
-def read_side(directory) -> dict:
-    """{workload: {seed: result dict}} of one side's trace-0 result files."""
+def read_side(directory, trace: int = 0) -> dict:
+    """{workload: {seed: result dict}} of one side's trace-0 (or trace-1) result files."""
     runs: dict = {}
     for path in sorted(Path(directory).iterdir()):
         match = RESULT.fullmatch(path.name)
-        if match:
+        if match and int(match["trace"]) == trace:
             result = json.loads(path.read_text(encoding="utf-8"))
             runs.setdefault(match["workload"], {})[int(match["seed"])] = result
-    if not runs:
+    if not runs and trace == 0:
         raise SystemExit(f"E_BENCH: no result-*-trace0.json files in {directory}")
     return runs
 
@@ -55,8 +63,27 @@ def _envs(runs) -> list:
     return distinct
 
 
+def _values(sides, name) -> dict:
+    """{side: [value of metric ``name`` in each paired run]}"""
+    return {side: [r["measured"][name]["value"] for r in runs] for side, runs in sides.items()}
+
+
+def _paired(values, lower: bool) -> dict:
+    """Both sides' summaries of one metric over the paired seeds."""
+    won = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    parent_median = statistics.median(values["parent"])
+    return {
+        "parent": dict(summary(values["parent"]), values=values["parent"]),
+        "change": dict(summary(values["change"]), values=values["change"]),
+        "pairs": len(values["parent"]),
+        "change_won": won,
+        "median_ratio": statistics.median(values["change"]) / parent_median if parent_median else None,
+    }
+
+
 def fold(parent_dir, change_dir, spec: dict) -> dict:
     parent, change = read_side(parent_dir), read_side(change_dir)
+    traced = {"parent": read_side(parent_dir, 1), "change": read_side(change_dir, 1)}
     workloads = {}
     for workload in sorted(set(parent) & set(change)):
         seeds = sorted(set(parent[workload]) & set(change[workload]))
@@ -69,24 +96,29 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
                 side: sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
                 for side, runs in sides.items()
             },
+            "records_equal_pairs": sum(
+                bool(p.get("records")) and p["records"] == c.get("records")
+                for p, c in zip(sides["parent"], sides["change"])
+            ),
             "metrics": {},
+            "reported": {},
+            "traced": {},
         }
         for metric in spec["end_to_end"]:
-            name, lower = metric["name"], metric["better"] == "lower"
-            values = {side: [r["measured"][name]["value"] for r in runs] for side, runs in sides.items()}
-            won = sum(
-                (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])
+            entry["metrics"][metric["name"]] = dict(
+                _paired(_values(sides, metric["name"]), metric["better"] == "lower"),
+                unit=metric["unit"],
+                better=metric["better"],
+                bound=metric["bound"],
             )
-            parent_median = statistics.median(values["parent"])
-            entry["metrics"][name] = {
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "bound": metric["bound"],
-                "parent": dict(summary(values["parent"]), values=values["parent"]),
-                "change": dict(summary(values["change"]), values=values["change"]),
-                "pairs": len(seeds),
-                "change_won": won,
-                "median_ratio": statistics.median(values["change"]) / parent_median if parent_median else None,
+        for name, (unit, better) in REPORTED.items():
+            if all(name in r["measured"] for runs in sides.values() for r in runs):
+                entry["reported"][name] = dict(_paired(_values(sides, name), better == "lower"), unit=unit, better=better)
+        for seed in sorted(set(traced["parent"].get(workload, {})) & set(traced["change"].get(workload, {}))):
+            p, c = (traced[side][workload][seed]["measured"] for side in ("parent", "change"))
+            entry["traced"][seed] = {
+                name: {"unit": p[name]["unit"], "parent": p[name]["value"], "change": c[name]["value"]}
+                for name in sorted(set(p) & set(c))
             }
         workloads[workload] = entry
     return {
