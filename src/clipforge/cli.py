@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_effective(path: Path, values: dict) -> None:
-    M.replace_file(path, key_value_text(values).encode("utf-8"))
+    M.replace_file(path, [key_value_text(values).encode("utf-8")])
 
 
 def _fresh_output_dir(out: Path, force: bool, command: str) -> None:
@@ -108,11 +108,10 @@ def _merged_run_config(args) -> RunConfig:
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
-    for field in dataclasses.fields(RunConfig):
+    for field in dataclasses.fields(RunConfig):  # a flag overrides the environment
         env_name = ENV_PREFIX + field.name.upper()
         if env_name in os.environ:
             values[field.name] = coerce_field(field.name, os.environ[env_name])
-    for field in dataclasses.fields(RunConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             values[field.name] = coerce_field(field.name, flag)
@@ -197,6 +196,7 @@ def cmd_eval(args) -> int:
         checkpoint=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()[:12],
         dataset=dataset_id,
     )
+    # no trailing newline, unlike key_value_text: that would change every report hash
     config_hash = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(identity.items())).encode("utf-8")
     ).hexdigest()[:12]
@@ -265,13 +265,10 @@ def _baseline_section(report, spec_text: str, out: Path) -> None:
         return
     cmp = E.compare_to_baseline(report, table)
     path = out / f"deltas_{source}_{model_name}.csv"
+    rows = [(language, cmp.deltas[language]) for language in cmp.languages]
     lines = ["language," + ",".join(E.METRIC_NAMES)]
-    for language in cmp.languages:
-        cells = [repr(cmp.deltas[language].get(m)) if m in cmp.deltas[language] else "" for m in E.METRIC_NAMES]
-        lines.append(",".join([language] + cells))
-    lines.append(
-        ",".join(["average"] + [repr(cmp.average_delta.get(m)) if m in cmp.average_delta else "" for m in E.METRIC_NAMES])
-    )
+    for name, deltas in rows + [("average", cmp.average_delta)]:
+        lines.append(",".join([name] + [repr(deltas[m]) if m in deltas else "" for m in E.METRIC_NAMES]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"deltas against {source}:{model_name} written to {path}")
 

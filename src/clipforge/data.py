@@ -344,8 +344,6 @@ def load_dataset(path) -> Dataset:
     records = []
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         cells = line.split("\t")
         if len(cells) != 3 + len(languages):
             raise DatasetFormatError(
@@ -396,8 +394,6 @@ def load_split(dataset_path):
     train_ids, val_ids = [], []
     first_line: dict = {}  # record id -> line that listed it
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line:
-            continue
         rid, _, label = line.partition("\t")
         if rid in first_line:
             raise DatasetFormatError(

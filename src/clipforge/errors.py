@@ -30,7 +30,7 @@ class ConfigError(ClipforgeError):
 
 
 class CheckpointFormatError(ClipforgeError):
-    """Checkpoint file has wrong magic bytes or an unsupported version."""
+    """Checkpoint file has the wrong magic, version or layout for its contents."""
 
     code = "E_CHECKPOINT_FORMAT"
 

@@ -406,8 +406,6 @@ def load_baseline_table(source: str, model: str) -> BaselineTable:
         raise ComparisonError(f"no baseline source {source!r}; bundled: {known}") from None
     entries, average = {}, {}
     for line in lines[1:]:
-        if not line:
-            continue
         cells = line.split(",")
         if cells[0] != model:
             continue

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import optim
 from . import tensor as T
 from .errors import (
     CheckpointFormatError,
@@ -366,17 +367,20 @@ def count_parameters(model: DualEncoderModel) -> dict:
 
 CHECKPOINT_MAGIC = b"NCLP"
 CHECKPOINT_VERSION = 1
+STATE_PREFIX = "optim/"  # no parameter name starts with it
 
 
-def replace_file(path, data: bytes) -> None:
-    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
+def replace_file(path, chunks) -> None:
+    """Write ``chunks`` (bytes-like pieces, in order) to ``<path>.tmp``, then
+    rename it over ``path``.
 
     A process killed mid-write leaves the previous file whole.  There is no
     fsync: this guards against a killed process, not a lost machine.
     """
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
@@ -388,25 +392,25 @@ def write_tensor_file(path, header: dict, arrays: dict) -> None:
     name, ndim u32, dims u32 each, raw float32 payload.  A crc32 over all
     payload bytes closes the file.
     """
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    replace_file(path, _tensor_file_chunks(header, arrays))
+
+
+def _tensor_file_chunks(header: dict, arrays: dict):
+    # payloads go out from the arrays' own buffers: no copy of the file is held
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    chunks.append(struct.pack("<I", len(head)))
-    chunks.append(head)
-    names = sorted(arrays)
-    chunks.append(struct.pack("<I", len(names)))
+    yield CHECKPOINT_MAGIC
+    yield struct.pack("<II", CHECKPOINT_VERSION, len(head))
+    yield head
+    yield struct.pack("<I", len(arrays))
     crc = 0
-    for name in names:
-        arr = np.asarray(arrays[name], dtype="<f4")  # keeps 0-d shapes intact
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype="<f4", order="C")  # keeps 0-d shapes intact
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.extend(struct.pack("<I", d) for d in arr.shape)
-        payload = arr.tobytes()
-        crc = zlib.crc32(payload, crc)
-        chunks.append(payload)
-    chunks.append(struct.pack("<I", crc))
-    replace_file(path, b"".join(chunks))
+        yield struct.pack("<I", len(encoded)) + encoded
+        yield struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
+        crc = zlib.crc32(arr, crc)
+        yield arr
+    yield struct.pack("<I", crc)
 
 
 class _Cursor:
@@ -463,26 +467,38 @@ def read_tensor_file(path):
     return header, arrays
 
 
-def save_checkpoint(model: DualEncoderModel, path, metadata: dict | None = None) -> None:
+def save_checkpoint(model: DualEncoderModel, path, metadata: dict | None = None, optimizer=None) -> None:
+    """Write the model's parameters, and with ``optimizer``, a (name,
+    OptimizerState) pair, its optimizer state too: one file, one rename."""
     header = {
         "config": asdict(model.config),
         "metadata": metadata if metadata is not None else model.metadata,
     }
-    write_tensor_file(path, header, {n: p.data for n, p in model.params.items()})
+    arrays = {n: p.data for n, p in model.params.items()}
+    if optimizer is not None:
+        name, state = optimizer
+        meta, state_arrays = optim.state_to_arrays(state)
+        header["optimizer"] = {"name": name, **meta}
+        arrays.update((STATE_PREFIX + key, arr) for key, arr in state_arrays.items())
+    write_tensor_file(path, header, arrays)
 
 
-def load_checkpoint(path) -> DualEncoderModel:
-    """Read a model saved by ``save_checkpoint``.
+def read_checkpoint(path):
+    """(model, optimizer name, OptimizerState) of a file written by
+    ``save_checkpoint``; the last two are None in a file without optimizer state.
 
-    Its parameters come back frozen (``requires_grad`` False), so a loaded
-    model embeds without recording an autodiff graph; call ``apply_freeze``
-    before training it.
+    The parameters come back frozen (``requires_grad`` False), so the model
+    embeds without recording a graph; call ``apply_freeze`` before training it.
     """
     header, arrays = read_tensor_file(path)
     try:
         config = ModelConfig(**header["config"])
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from exc
+    block = header.get("optimizer")
+    # state arrays only count as such in a file that declares its optimizer
+    state_keys = [k for k in arrays if k.startswith(STATE_PREFIX)] if block is not None else []
+    state_arrays = {k[len(STATE_PREFIX) :]: arrays.pop(k) for k in state_keys}
     expected = {name: shape for name, shape, _ in _param_specs(config)}
     if set(arrays) != set(expected):
         missing = sorted(set(expected) - set(arrays))
@@ -499,4 +515,12 @@ def load_checkpoint(path) -> DualEncoderModel:
     params = {name: T.Tensor(arrays[name]) for name in expected}
     model = DualEncoderModel(config, params=params)
     model.metadata = header.get("metadata", {})
-    return model
+    if block is None:
+        return model, None, None
+    state = optim.state_from_arrays(block, state_arrays, params)  # refuses a malformed block
+    return model, block.get("name"), state
+
+
+def load_checkpoint(path) -> DualEncoderModel:
+    """The frozen model of ``read_checkpoint``; any optimizer state is dropped."""
+    return read_checkpoint(path)[0]

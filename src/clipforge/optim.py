@@ -11,9 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import CheckpointFormatError, ConfigError, TrainingError
 
 DEFAULT_BLOCK_SIZE = 256
+
+
+def _check_hyperparameters(cfg, optimizer: str) -> None:
+    if not cfg.lr > 0:
+        raise ConfigError(f"{optimizer}: lr must be > 0, got {cfg.lr}")
+    for name in ("beta1", "beta2"):
+        value = getattr(cfg, name)
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{optimizer}: {name} must be in (0, 1), got {value}")
+    if cfg.weight_decay < 0:
+        raise ConfigError(f"{optimizer}: weight_decay must be >= 0, got {cfg.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -24,14 +35,7 @@ class LionConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"lion: lr must be > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"lion: {name} must be in (0, 1), got {value}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"lion: weight_decay must be >= 0, got {self.weight_decay}")
+        _check_hyperparameters(self, "lion")
 
 
 @dataclass(frozen=True)
@@ -43,16 +47,9 @@ class AdamWConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"adamw: lr must be > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"adamw: {name} must be in (0, 1), got {value}")
+        _check_hyperparameters(self, "adamw")
         if self.eps <= 0:
             raise ConfigError(f"adamw: eps must be > 0, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"adamw: weight_decay must be >= 0, got {self.weight_decay}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +121,7 @@ class OptimizerState:
         self.block_size = block_size
 
     def memory_bytes(self) -> int:
-        total = 0
-        for buf in self.momentum.values():
-            total += buf.nbytes
-        for buf in self.second_moment.values():
-            total += buf.nbytes
-        return total
+        return sum(buf.nbytes for buf in (*self.momentum.values(), *self.second_moment.values()))
 
 
 def state_to_arrays(state: OptimizerState):
@@ -158,22 +150,38 @@ def state_to_arrays(state: OptimizerState):
 
 
 def state_from_arrays(meta: dict, arrays: dict, params: dict) -> OptimizerState:
-    state = OptimizerState(block_size=int(meta["block_size"]))
-    state.step_count = int(meta["step_count"])
-    for name in meta["quantized"]:
-        codes = arrays[f"m_codes/{name}"].astype(np.int8)
-        state.momentum[name] = QuantizedBuffer(
-            codes=codes,
-            absmax=arrays[f"m_absmax/{name}"],
-            block_size=state.block_size,
-            shape=params[name].data.shape,
-        )
+    """Inverse of state_to_arrays; refuses an array that does not fit its
+    parameter in ``params``."""
+    try:
+        state = OptimizerState(block_size=int(meta["block_size"]))
+        state.step_count = int(meta["step_count"])
+        quantized = set(meta["quantized"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"bad optimizer state block: {exc!r}") from exc
+    if state.block_size < 1:
+        raise CheckpointFormatError(f"optimizer state: block_size {state.block_size} < 1")
     for key, arr in arrays.items():
         kind, _, name = key.partition("/")
-        if kind == "m":
-            state.momentum[name] = arr
-        elif kind == "v":
-            state.second_moment[name] = arr
+        if name not in params:
+            raise CheckpointFormatError(f"optimizer state array {key} names no parameter")
+        shape = params[name].data.shape
+        size = math.prod(shape)
+        fits = {"m": shape, "v": shape}
+        if name in quantized:  # codes ride flat, one absmax per block
+            fits = {"v": shape, "m_codes": (size,), "m_absmax": (max(1, -(-size // state.block_size)),)}
+        if arr.shape != fits.get(kind):
+            raise CheckpointFormatError(
+                f"optimizer state array {key}: shape {arr.shape} does not fit parameter shape {shape}"
+            )
+        if kind in ("m", "v"):
+            (state.momentum if kind == "m" else state.second_moment)[name] = arr
+    for name in quantized:
+        codes, absmax = arrays.get(f"m_codes/{name}"), arrays.get(f"m_absmax/{name}")
+        if codes is None or absmax is None:
+            raise CheckpointFormatError(f"optimizer state: {name} lacks its 8-bit codes or absmax")
+        state.momentum[name] = QuantizedBuffer(
+            codes.astype(np.int8), absmax, state.block_size, params[name].data.shape
+        )
     return state
 
 

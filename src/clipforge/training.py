@@ -30,7 +30,7 @@ from .data import (
     sample_epoch,
     tokenize_batch,
 )
-from .errors import CheckpointIntegrityError, ConfigError, DatasetFormatError, TrainingError
+from .errors import CheckpointFormatError, ConfigError, DatasetFormatError, TrainingError
 
 OPTIMIZERS = ("lion", "lion8", "adamw")
 REGIMES = tuple(r.value for r in M.FreezeRegime)
@@ -39,7 +39,6 @@ MAX_TEXT_LEN = 16
 
 LAST_CHECKPOINT = "last.nclp"
 BEST_CHECKPOINT = "best.nclp"
-STATE_FILE = "last.optstate"
 RECORD_FILE = "run_record.jsonl"
 EFFECTIVE_CONFIG = "config.effective"
 
@@ -237,21 +236,6 @@ def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=No
 # run state on disk
 # ---------------------------------------------------------------------------
 
-def _save_state(path, optimizer: str, state: optim.OptimizerState) -> None:
-    meta, arrays = optim.state_to_arrays(state)
-    M.write_tensor_file(path, {"optimizer": optimizer, "state": meta}, arrays)
-
-
-def _load_state(path, optimizer: str, params: dict) -> optim.OptimizerState:
-    header, arrays = M.read_tensor_file(path)
-    if header.get("optimizer") != optimizer:
-        raise ConfigError(
-            f"cannot resume: saved optimizer {header.get('optimizer')!r}"
-            f" does not match configured {optimizer!r}"
-        )
-    return optim.state_from_arrays(header["state"], arrays, params)
-
-
 def _append_record(out: Path, entry: dict) -> None:
     with open(out / RECORD_FILE, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -263,7 +247,7 @@ def _trim_record(out: Path, next_epoch: int) -> None:
     path = out / RECORD_FILE
     lines = [l for l in path.read_text(encoding="utf-8").splitlines(keepends=True) if l.strip()]
     kept = "".join(l for l in lines if json.loads(l).get("epoch", -1) < next_epoch)
-    M.replace_file(path, kept.encode("utf-8"))
+    M.replace_file(path, [kept.encode("utf-8")])
 
 
 @dataclass(frozen=True)
@@ -278,7 +262,6 @@ class EpochStats:
 @dataclass
 class RunResult:
     run_id: str
-    config: RunConfig
     stats: list
     best_val_loss: float
     total_steps: int
@@ -300,8 +283,8 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     """Execute (or resume) one training run and return its summary.
 
     The output directory accumulates: the effective config, a line-delimited
-    run record, the latest checkpoint + optimizer state, and the best
-    checkpoint by validation loss.
+    run record, the latest checkpoint with its optimizer state in the same
+    file, and the best checkpoint by validation loss.
     """
     if not config.dataset_dir or not config.output_dir:
         raise ConfigError("training needs both dataset_dir and output_dir")
@@ -347,31 +330,27 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 " use --force to start over"
             )
     else:
-        M.replace_file(config_path, effective.encode("utf-8"))
+        M.replace_file(config_path, [effective.encode("utf-8")])
 
-    steps_per_epoch = sum(1 for _ in _iter_batches(train_ids, config.batch_size))
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
     if last_path.exists():
-        model = M.load_checkpoint(last_path)
+        model, saved_optimizer, state = M.read_checkpoint(last_path)
         if model.config != model_config:
             raise ConfigError(
                 "cannot resume: checkpoint model config does not match the run config"
             )
+        if state is None:
+            raise CheckpointFormatError(
+                f"cannot resume: {LAST_CHECKPOINT} holds no optimizer state (an older"
+                " run directory layout); use --force to start over"
+            )
+        if saved_optimizer != config.optimizer:
+            raise ConfigError(
+                f"cannot resume: saved optimizer {saved_optimizer!r}"
+                f" does not match configured {config.optimizer!r}"
+            )
         next_epoch = int(model.metadata["next_epoch"])
         best_val = float(model.metadata["best_val"])
-        # a run that stopped between writing the checkpoint and its optimizer
-        # state leaves the state missing or one epoch behind
-        if not (out / STATE_FILE).exists():
-            raise CheckpointIntegrityError(
-                f"cannot resume: {LAST_CHECKPOINT} has no {STATE_FILE}; use --force to start over"
-            )
-        state = _load_state(out / STATE_FILE, config.optimizer, model.params)
-        if state.step_count != next_epoch * steps_per_epoch:
-            raise CheckpointIntegrityError(
-                f"cannot resume: {LAST_CHECKPOINT} ends epoch {next_epoch - 1} but"
-                f" {STATE_FILE} holds {state.step_count} steps, expected"
-                f" {next_epoch * steps_per_epoch}; use --force to start over"
-            )
         say(f"resuming run {run_id} at epoch {next_epoch}")
     else:
         if config.init_from:
@@ -398,7 +377,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     frozen_images = not any(name.startswith("image/") for name in trainable)
     image_cache = {} if frozen_images else None
 
-    total_steps = steps_per_epoch * config.epochs
+    total_steps = config.epochs * sum(1 for _ in _iter_batches(train_ids, config.batch_size))
     global_step = state.step_count
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
 
@@ -458,8 +437,8 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 "val_loss": val_loss,
                 "seeds": seeds,
             },
+            optimizer=(config.optimizer, state),
         )
-        _save_state(out / STATE_FILE, config.optimizer, state)
         say(
             f"epoch {epoch + 1}/{config.epochs}: train {entry.train_loss:.4f}"
             f" val {entry.val_loss:.4f} lr {entry.last_lr:.2e} ({entry.seconds:.1f}s)"
@@ -467,7 +446,6 @@ def run_training(config: RunConfig, log=None) -> RunResult:
 
     return RunResult(
         run_id=run_id,
-        config=config,
         stats=stats,
         best_val_loss=best_val,
         total_steps=global_step,

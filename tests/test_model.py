@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import clipforge.tensor as T
+from clipforge import optim
 from clipforge.contrastive import clip_loss, similarity
 from clipforge.errors import (
     CheckpointFormatError,
@@ -22,7 +23,10 @@ from clipforge.model import (
     encode_text,
     image_features,
     load_checkpoint,
+    read_checkpoint,
+    read_tensor_file,
     save_checkpoint,
+    write_tensor_file,
 )
 
 RNG = np.random.default_rng(20240)
@@ -397,6 +401,47 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(CheckpointIntegrityError):
+        load_checkpoint(path)
+
+
+def _model_with_state(seed=2):
+    """A micro model and the Lion state of one step over all its parameters."""
+    model = DualEncoderModel(micro_config(), init_seed=seed)
+    grads = {name: np.ones_like(p.data) for name, p in model.params.items()}
+    state = optim.OptimizerState()
+    optim.lion_step(model.params, grads, state, optim.LionConfig(lr=1e-3))
+    return model, state
+
+
+def test_checkpoint_carries_optimizer_state(tmp_path):
+    model, state = _model_with_state()
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(model, path, metadata={"next_epoch": 1}, optimizer=("lion", state))
+    loaded, name, restored = read_checkpoint(path)
+    assert name == "lion" and restored.step_count == 1
+    assert {k: v.tobytes() for k, v in restored.momentum.items()} == {
+        k: v.tobytes() for k, v in state.momentum.items()
+    }
+    frozen = load_checkpoint(path)  # the model alone, as eval and init_from read it
+    assert frozen.metadata == {"next_epoch": 1}
+    assert all(not p.requires_grad for p in frozen.params.values())
+    assert all(np.array_equal(frozen.params[n].data, p.data) for n, p in model.params.items())
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert read_checkpoint(tmp_path / "model.ckpt")[1:] == (None, None)
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["state-without-optimizer", "junk-beside-state"])
+def test_checkpoint_tells_state_from_junk(tmp_path, declared):
+    model, state = _model_with_state()
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(model, path, optimizer=("lion", state))
+    header, arrays = read_tensor_file(path)
+    if declared:  # an optimizer block admits state arrays, nothing else
+        arrays["junk/w"] = np.zeros(3, dtype=np.float32)
+    else:
+        del header["optimizer"]
+    write_tensor_file(path, header, arrays)
+    with pytest.raises(CheckpointFormatError, match="parameter table does not match config"):
         load_checkpoint(path)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clipforge.tensor as T
-from clipforge.errors import ConfigError, TrainingError
+from clipforge.errors import CheckpointFormatError, ConfigError, TrainingError
 from clipforge.optim import (
     AdamWConfig,
     LionConfig,
@@ -324,3 +324,45 @@ def test_state_roundtrip_preserves_trajectory(step, cfg):
     _advance(step, fork, restored, cfg, np.random.default_rng(99), n=2)
     for name in params:
         assert np.array_equal(params[name].data, fork[name].data)
+
+
+def _stored_state(step, cfg):
+    params = make_params({"w": RNG.normal(size=300), "b": RNG.normal(size=7)})
+    state = OptimizerState()
+    _advance(step, params, state, cfg, np.random.default_rng(5))
+    meta, arrays = state_to_arrays(state)
+    return meta, arrays, params
+
+
+@pytest.mark.parametrize(
+    "step, cfg, edit",
+    [
+        (lion_step, LionConfig(lr=1e-3), lambda a: a.update({"m/gone": a.pop("m/w")})),
+        (adamw_step, AdamWConfig(lr=1e-3), lambda a: a.update({"v/w": a["v/w"][:-1]})),
+        (lion_step, LionConfig(lr=1e-3), lambda a: a.update({"m/b": a["m/b"].reshape(7, 1)})),
+        (lion8_step, LionConfig(lr=1e-3), lambda a: a.pop("m_codes/w")),
+        (lion8_step, LionConfig(lr=1e-3), lambda a: a.pop("m_absmax/b")),
+        (lion8_step, LionConfig(lr=1e-3), lambda a: a.update({"m_codes/b": a["m_codes/b"][:3]})),
+    ],
+    ids=[
+        "names-no-parameter",
+        "second-moment-shape",
+        "momentum-shape",
+        "codes-missing",
+        "absmax-missing",
+        "codes-shape",
+    ],
+)
+def test_stored_state_must_fit_the_parameters(step, cfg, edit):
+    meta, arrays, params = _stored_state(step, cfg)
+    edit(arrays)
+    with pytest.raises(CheckpointFormatError) as exc:
+        state_from_arrays(meta, arrays, params)
+    assert "\n" not in str(exc.value)
+
+
+def test_stored_quantized_state_must_name_a_parameter():
+    meta, arrays, params = _stored_state(lion8_step, LionConfig(lr=1e-3))
+    del params["w"]  # a quantized name missing from the params used to raise a bare KeyError
+    with pytest.raises(CheckpointFormatError):
+        state_from_arrays(meta, arrays, params)

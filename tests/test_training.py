@@ -17,7 +17,8 @@ from clipforge.data import (
     save_split,
     split,
 )
-from clipforge.errors import CheckpointIntegrityError, ConfigError, DatasetFormatError, TrainingError
+from clipforge import optim
+from clipforge.errors import CheckpointFormatError, ConfigError, DatasetFormatError, TrainingError
 from clipforge.training import (
     RunConfig,
     coerce_field,
@@ -176,10 +177,9 @@ def test_run_produces_artifacts(dataset_dir, tmp_path):
     result = run_training(tiny_config(dataset_dir, out))
     assert len(result.stats) == 2
     assert all(np.isfinite(s.train_loss) and np.isfinite(s.val_loss) for s in result.stats)
-    assert (out / training.LAST_CHECKPOINT).exists()
-    assert (out / training.BEST_CHECKPOINT).exists()
-    assert (out / training.STATE_FILE).exists()
-    assert (out / training.EFFECTIVE_CONFIG).exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [training.EFFECTIVE_CONFIG, training.RECORD_FILE, training.LAST_CHECKPOINT, training.BEST_CHECKPOINT]
+    )
     lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
     assert lines[0]["record"] == "run"
     assert [l["epoch"] for l in lines[1:]] == [0, 1]
@@ -259,28 +259,79 @@ def test_kill_around_epoch_record_keeps_each_epoch_once(dataset_dir, tmp_path, m
     assert not (tmp_path / "k" / (training.RECORD_FILE + ".tmp")).exists()
 
 
-@pytest.mark.parametrize("dying_call", [1, 2], ids=["state-missing", "state-behind"])
-def test_torn_checkpoint_pair_refused(dataset_dir, tmp_path, monkeypatch, dying_call):
-    save_state = training._save_state
-    calls = []
+# every write of an uninterrupted 3-epoch run, in order (best.nclp improves each epoch)
+WRITES = [training.EFFECTIVE_CONFIG, "run"] + [
+    "epoch", training.BEST_CHECKPOINT, training.LAST_CHECKPOINT
+] * 3
 
-    def dying_save_state(*args):
-        # last.nclp of the dying call's epoch is on disk; last.optstate is
-        # absent (call 1) or still holds the previous epoch (call 2)
-        calls.append(args)
-        if len(calls) == dying_call:
+
+def _route_writes(monkeypatch, on_write):
+    """Send each file replacement and record line through on_write(name, write)."""
+    replace, append = M.replace_file, training._append_record
+    monkeypatch.setattr(
+        M, "replace_file", lambda path, data: on_write(Path(path).name, lambda: replace(path, data))
+    )
+    monkeypatch.setattr(
+        training, "_append_record", lambda out, entry: on_write(entry["record"], lambda: append(out, entry))
+    )
+
+
+@pytest.fixture(scope="module")
+def three_epoch_run(dataset_dir, tmp_path_factory):
+    """Output dir of an uninterrupted 3-epoch run, and the names of its writes."""
+    out, names = tmp_path_factory.mktemp("straight"), []
+    with pytest.MonkeyPatch.context() as mp:
+        _route_writes(mp, lambda name, write: (names.append(name), write()))
+        run_training(tiny_config(dataset_dir, out, epochs=3))
+    return out, names
+
+
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+@pytest.mark.parametrize("point", range(len(WRITES)), ids=[f"{i}-{n}" for i, n in enumerate(WRITES)])
+def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch, three_epoch_run, point, after):
+    straight, names = three_epoch_run
+    assert names == WRITES  # so the cases cover every write the run makes
+    seen = []
+
+    def dying_write(name, write):
+        seen.append(name)
+        if len(seen) == point + 1:
+            if after:
+                write()
             raise KeyboardInterrupt
-        save_state(*args)
+        write()
 
-    config = tiny_config(dataset_dir, tmp_path / "torn", epochs=3)
-    monkeypatch.setattr(training, "_save_state", dying_save_state)
+    out = tmp_path / "k"
+    config = tiny_config(dataset_dir, out, epochs=3)
+    _route_writes(monkeypatch, dying_write)
     with pytest.raises(KeyboardInterrupt):
         run_training(config)
-    monkeypatch.setattr(training, "_save_state", save_state)
-    with pytest.raises(CheckpointIntegrityError) as exc:
+    monkeypatch.undo()
+    run_training(config)
+    for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
+        assert (out / name).read_bytes() == (straight / name).read_bytes()
+    lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
+    assert [l.get("epoch", l["record"]) for l in lines] == ["run", 0, 1, 2]
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("optstate", [False, True], ids=["alone", "with-optstate"])
+def test_two_file_run_directory_refused(dataset_dir, tmp_path, optstate):
+    # the older layout: a model-only last.nclp, its optimizer state in last.optstate
+    out = tmp_path / "old"
+    config = tiny_config(dataset_dir, out, epochs=1)
+    run_training(config)
+    model, name, state = M.read_checkpoint(out / training.LAST_CHECKPOINT)
+    M.save_checkpoint(model, out / training.LAST_CHECKPOINT)
+    if optstate:
+        meta, arrays = optim.state_to_arrays(state)
+        M.write_tensor_file(out / "last.optstate", {"optimizer": name, "state": meta}, arrays)
+    before = (out / training.LAST_CHECKPOINT).read_bytes()
+    with pytest.raises(CheckpointFormatError) as exc:
         run_training(config)
-    assert exc.value.code == "E_CHECKPOINT_INTEGRITY"
-    assert "\n" not in str(exc.value)
+    assert exc.value.code == "E_CHECKPOINT_FORMAT"
+    assert "--force" in str(exc.value) and "\n" not in str(exc.value)
+    assert (out / training.LAST_CHECKPOINT).read_bytes() == before
 
 
 class _HalfWrite:
@@ -396,6 +447,20 @@ def test_init_from_checkpoint(dataset_dir, tmp_path):
             assert np.array_equal(p.data, s1.params[name].data)
 
 
+def test_init_from_last_checkpoint_starts_a_fresh_optimizer_state(dataset_dir, tmp_path):
+    stage1 = run_training(tiny_config(dataset_dir, tmp_path / "s1", epochs=1))
+    model_only = tmp_path / "model-only.nclp"
+    M.save_checkpoint(M.load_checkpoint(stage1.last_checkpoint), model_only)
+    runs = [
+        run_training(tiny_config(dataset_dir, tmp_path / f"s2-{i}", epochs=1, init_from=str(source)))
+        for i, source in enumerate((stage1.last_checkpoint, model_only))
+    ]
+    (header, carried), (_, fresh) = (M.read_tensor_file(r.last_checkpoint) for r in runs)
+    assert carried.keys() == fresh.keys()
+    assert all(np.array_equal(carried[name], fresh[name]) for name in carried)
+    assert header["optimizer"]["step_count"] == runs[0].total_steps
+
+
 def test_init_from_mismatched_config(dataset_dir, tmp_path):
     stage1 = run_training(tiny_config(dataset_dir, tmp_path / "m1", epochs=1))
     with pytest.raises(ConfigError):
@@ -499,3 +564,14 @@ def test_resume_optimizer_mismatch(dataset_dir, tmp_path):
     # same effective config except the optimizer: refuse before touching state
     with pytest.raises(ConfigError):
         run_training(tiny_config(dataset_dir, out, epochs=1, optimizer="adamw"))
+
+
+def test_resume_refuses_a_checkpoint_of_another_optimizer(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    config = tiny_config(dataset_dir, out, epochs=1)
+    run_training(config)
+    header, arrays = M.read_tensor_file(out / training.LAST_CHECKPOINT)
+    header["optimizer"]["name"] = "adamw"
+    M.write_tensor_file(out / training.LAST_CHECKPOINT, header, arrays)
+    with pytest.raises(ConfigError, match="saved optimizer 'adamw'"):
+        run_training(config)
