@@ -160,11 +160,13 @@ def cmd_eval(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
     vocab = Vocabulary.for_dataset(dataset)
-    if vocab.size != model.config.vocab_size:
+    # a checkpoint without a stored vocabulary (an older file) is checked by size only
+    stored = model.metadata.get("vocabulary")
+    if vocab.size != model.config.vocab_size or stored not in (None, vocab.ordered_tokens()):
         raise EvaluationError(
-            f"vocabulary mismatch: checkpoint expects {model.config.vocab_size} tokens"
-            f" but this dataset yields {vocab.size}; evaluate against the dataset the"
-            " model was trained on"
+            f"vocabulary mismatch: the checkpoint's {model.config.vocab_size} tokens are not"
+            f" the {vocab.size} this dataset yields; evaluate against the dataset the model"
+            " was trained on"
         )
     side = dataset.records[0].get_pixels().shape[0] if dataset.records else 0
     if side != model.config.image_size:

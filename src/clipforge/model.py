@@ -413,57 +413,54 @@ def _tensor_file_chunks(header: dict, arrays: dict):
     yield struct.pack("<I", crc)
 
 
-class _Cursor:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CheckpointIntegrityError(
-                f"truncated file: wanted {n} bytes at offset {self.pos},"
-                f" only {len(self.raw) - self.pos} left"
-            )
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def read_tensor_file(path):
-    """Inverse of write_tensor_file; returns (header dict, name->array)."""
+    """Inverse of write_tensor_file; returns (header dict, name->array).
+
+    Each payload is read straight into the buffer its array wraps."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    cur = _Cursor(raw)
-    magic = cur.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = cur.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported format version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    try:
-        header = json.loads(cur.take(cur.u32()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointIntegrityError(f"unreadable header: {exc}") from exc
-    arrays = {}
-    crc = 0
-    for _ in range(cur.u32()):
-        name = cur.take(cur.u32()).decode("utf-8")
-        shape = tuple(cur.u32() for _ in range(cur.u32()))
-        payload = cur.take(int(np.prod(shape, dtype=np.int64)) * 4)
-        crc = zlib.crc32(payload, crc)
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    stored = cur.u32()
-    if stored != crc:
-        raise CheckpointIntegrityError(
-            f"checksum mismatch: payload crc {crc:#010x} != stored {stored:#010x}"
-        )
-    if cur.pos != len(raw):
-        raise CheckpointIntegrityError(f"{len(raw) - cur.pos} unexpected trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytearray:
+            # checked before allocating: a corrupt length must not ask for gigabytes
+            if fh.tell() + n > size:
+                raise CheckpointIntegrityError(
+                    f"truncated file: wanted {n} bytes at offset {fh.tell()},"
+                    f" only {size - fh.tell()} left"
+                )
+            buf = bytearray(n)
+            fh.readinto(buf)
+            return buf
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        magic = bytes(take(4))
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        version = u32()
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(
+                f"unsupported format version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        try:
+            header = json.loads(take(u32()).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointIntegrityError(f"unreadable header: {exc}") from exc
+        arrays = {}
+        crc = 0
+        for _ in range(u32()):
+            name = take(u32()).decode("utf-8")
+            shape = tuple(u32() for _ in range(u32()))
+            payload = take(int(np.prod(shape, dtype=np.int64)) * 4)
+            crc = zlib.crc32(payload, crc)
+            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        stored = u32()
+        if stored != crc:
+            raise CheckpointIntegrityError(
+                f"checksum mismatch: payload crc {crc:#010x} != stored {stored:#010x}"
+            )
+        if fh.tell() != size:
+            raise CheckpointIntegrityError(f"{size - fh.tell()} unexpected trailing bytes")
     return header, arrays
 
 

@@ -1,9 +1,12 @@
 """Optimizers: Lion, Lion with 8-bit quantized momentum, and AdamW.
 
-All steps mutate parameters in place and share one OptimizerState.  A step
-updates exactly the parameters it is passed, each of which needs a gradient;
-a caller freezes a parameter by leaving it out, so it keeps its exact bit
-pattern and never acquires a state buffer.
+Every step is ``step(params, grads, state, lr, weight_decay=0.0)``: it
+mutates parameters in place and shares one OptimizerState.  ``lr`` and
+``weight_decay`` are plain numbers, checked once by the run configuration;
+the betas and AdamW's eps are module constants.  A step updates exactly the
+parameters it is passed, each of which needs a gradient; a caller freezes a
+parameter by leaving it out, so it keeps its exact bit pattern and never
+acquires a state buffer.
 """
 
 import math
@@ -15,41 +18,11 @@ from .errors import CheckpointFormatError, ConfigError, TrainingError
 
 DEFAULT_BLOCK_SIZE = 256
 
-
-def _check_hyperparameters(cfg, optimizer: str) -> None:
-    if not cfg.lr > 0:
-        raise ConfigError(f"{optimizer}: lr must be > 0, got {cfg.lr}")
-    for name in ("beta1", "beta2"):
-        value = getattr(cfg, name)
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"{optimizer}: {name} must be in (0, 1), got {value}")
-    if cfg.weight_decay < 0:
-        raise ConfigError(f"{optimizer}: weight_decay must be >= 0, got {cfg.weight_decay}")
-
-
-@dataclass(frozen=True)
-class LionConfig:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.99
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        _check_hyperparameters(self, "lion")
-
-
-@dataclass(frozen=True)
-class AdamWConfig:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        _check_hyperparameters(self, "adamw")
-        if self.eps <= 0:
-            raise ConfigError(f"adamw: eps must be > 0, got {self.eps}")
+# Python floats on purpose: an np.float64 factor would promote the float32
+# updates to float64
+LION_BETAS = (0.9, 0.99)
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -204,52 +177,54 @@ def _iter_trainable(params: dict, grads: dict):
         yield name, p, g
 
 
-def _lion_update(p, g, m, cfg: LionConfig):
-    interp = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+def _lion_update(p, g, m, lr: float, weight_decay: float):
+    beta1, beta2 = LION_BETAS
+    interp = beta1 * m + (1.0 - beta1) * g
     update = np.sign(interp)
-    if cfg.weight_decay:
-        update = update + cfg.weight_decay * p.data
-    p.data = p.data - cfg.lr * update
-    return cfg.beta2 * m + (1.0 - cfg.beta2) * g
+    if weight_decay:
+        update = update + weight_decay * p.data
+    p.data = p.data - lr * update
+    return beta2 * m + (1.0 - beta2) * g
 
 
-def lion_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig):
+def lion_step(params: dict, grads: dict, state: OptimizerState, lr: float, weight_decay: float = 0.0):
     state.step_count += 1
     for name, p, g in _iter_trainable(params, grads):
         m = state.momentum.get(name)
         if m is None:
             m = np.zeros_like(p.data)
-        state.momentum[name] = _lion_update(p, g, m, cfg)
+        state.momentum[name] = _lion_update(p, g, m, lr, weight_decay)
 
 
-def lion8_step(params: dict, grads: dict, state: OptimizerState, cfg: LionConfig):
+def lion8_step(params: dict, grads: dict, state: OptimizerState, lr: float, weight_decay: float = 0.0):
     """Lion with the momentum buffer held in blockwise 8-bit form."""
     state.step_count += 1
     for name, p, g in _iter_trainable(params, grads):
         buf = state.momentum.get(name)
         m = dequantize_block(buf) if buf is not None else np.zeros_like(p.data)
-        state.momentum[name] = quantize_block(_lion_update(p, g, m, cfg), state.block_size)
+        state.momentum[name] = quantize_block(_lion_update(p, g, m, lr, weight_decay), state.block_size)
 
 
-def adamw_step(params: dict, grads: dict, state: OptimizerState, cfg: AdamWConfig):
+def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float, weight_decay: float = 0.0):
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    beta1, beta2 = ADAMW_BETAS
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
     for name, p, g in _iter_trainable(params, grads):
         m = state.momentum.get(name)
         v = state.second_moment.get(name)
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        update = m_hat / (np.sqrt(v_hat) + cfg.eps)
-        if cfg.weight_decay:
-            update = update + cfg.weight_decay * p.data
-        p.data = p.data - cfg.lr * update
+        update = m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update
         state.momentum[name] = m
         state.second_moment[name] = v
 

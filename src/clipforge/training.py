@@ -241,6 +241,14 @@ def _append_record(out: Path, entry: dict) -> None:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _recorded_run_id(out: Path):
+    """Run id of the record's run line, which precedes every checkpoint; None without one."""
+    path = out / RECORD_FILE
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    runs = [e for e in map(json.loads, filter(str.strip, lines)) if e.get("record") == "run"]
+    return runs[0]["run_id"] if runs else None
+
+
 def _trim_record(out: Path, next_epoch: int) -> None:
     """Drop the epoch lines a restart at ``next_epoch`` writes again: a kill
     after an epoch's record but before its checkpoint leaves them behind."""
@@ -268,15 +276,6 @@ class RunResult:
     last_checkpoint: str
     best_checkpoint: str
     model: M.DualEncoderModel
-
-
-def _step_fn(config: RunConfig):
-    if config.optimizer == "adamw":
-        return optim.adamw_step, lambda lr: optim.AdamWConfig(
-            lr=lr, weight_decay=config.weight_decay
-        )
-    step = optim.lion8_step if config.optimizer == "lion8" else optim.lion_step
-    return step, lambda lr: optim.LionConfig(lr=lr, weight_decay=config.weight_decay)
 
 
 def run_training(config: RunConfig, log=None) -> RunResult:
@@ -315,6 +314,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         raise ConfigError(f"languages not in dataset: {unknown}")
 
     vocab = Vocabulary.for_dataset(dataset)
+    tokens = vocab.ordered_tokens()
     image_size = train_records[0].get_pixels().shape[0]
     model_config = M.ModelConfig.from_presets(
         config.preset, vocab.size, MAX_TEXT_LEN, image_size=image_size
@@ -331,6 +331,12 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             )
     else:
         M.replace_file(config_path, [effective.encode("utf-8")])
+    recorded = _recorded_run_id(out)
+    if recorded not in (None, run_id):
+        raise ConfigError(
+            f"output dir {out} holds run {recorded}, not {run_id} (the dataset or init"
+            " checkpoint changed); use --force to start over"
+        )
 
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
     if last_path.exists():
@@ -360,6 +366,11 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                     f"init checkpoint {config.init_from} model config does not match"
                     " the run config (different preset, vocabulary, or image size)"
                 )
+            if model.metadata.get("vocabulary", tokens) != tokens:
+                raise ConfigError(
+                    f"init checkpoint {config.init_from} has another vocabulary of the same"
+                    " size: its token ids would not match this dataset's"
+                )
         else:
             model = M.DualEncoderModel(model_config, init_seed=config.init_seed)
         state = optim.OptimizerState()
@@ -372,13 +383,13 @@ def run_training(config: RunConfig, log=None) -> RunResult:
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}
-    step_fn, make_cfg = _step_fn(config)
+    # looked up per run, so a wrapper set on the module attribute (perfbench's) sees every step
+    step_fn = getattr(optim, f"{config.optimizer}_step")
     # a frozen image tower maps each record to the same pooled row all run long
     frozen_images = not any(name.startswith("image/") for name in trainable)
     image_cache = {} if frozen_images else None
 
     total_steps = config.epochs * sum(1 for _ in _iter_batches(train_ids, config.batch_size))
-    global_step = state.step_count
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
 
     stats = []
@@ -394,15 +405,14 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
-                    f"non-finite loss {value} at epoch {epoch} step {global_step}"
+                    f"non-finite loss {value} at epoch {epoch} step {state.step_count}"
                 )
             model.zero_grad()
             loss.backward()
             del loss  # free this step's graph before the next batch's forward builds its own
             grads = {name: p.grad for name, p in trainable.items()}
-            last_lr = _scheduled_lr(global_step, total_steps, config.lr, config.warmup_steps)
-            step_fn(trainable, grads, state, make_cfg(last_lr))
-            global_step += 1
+            last_lr = _scheduled_lr(state.step_count, total_steps, config.lr, config.warmup_steps)
+            step_fn(trainable, grads, state, last_lr, config.weight_decay)
             epoch_total += value * len(batch)
             epoch_count += len(batch)
 
@@ -420,23 +430,14 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         # record first: a kill before the checkpoint redoes the epoch, and _trim_record drops this line
         _append_record(out, {"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
 
+        meta = {"run_id": run_id, "val_loss": val_loss, "seeds": seeds, "vocabulary": tokens}
         if val_loss < best_val:
             best_val = val_loss
-            M.save_checkpoint(
-                model,
-                best_path,
-                {"run_id": run_id, "epoch": epoch, "val_loss": val_loss, "seeds": seeds},
-            )
+            M.save_checkpoint(model, best_path, {**meta, "epoch": epoch})
         M.save_checkpoint(
             model,
             last_path,
-            {
-                "run_id": run_id,
-                "next_epoch": epoch + 1,
-                "best_val": best_val,
-                "val_loss": val_loss,
-                "seeds": seeds,
-            },
+            {**meta, "next_epoch": epoch + 1, "best_val": best_val},
             optimizer=(config.optimizer, state),
         )
         say(
@@ -448,7 +449,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         run_id=run_id,
         stats=stats,
         best_val_loss=best_val,
-        total_steps=global_step,
+        total_steps=state.step_count,
         last_checkpoint=str(last_path),
         best_checkpoint=str(best_path),
         model=model,

@@ -350,7 +350,7 @@ def _run_steps(model, records, languages, vocab, steps, batch_size=16):
             loss.backward()
             grads = {name: p.grad for name, p in trainable.items()}
             lr = training._scheduled_lr(step, steps, 3e-4, 20)
-            optim.lion_step(trainable, grads, state, optim.LionConfig(lr=lr))
+            optim.lion_step(trainable, grads, state, lr)
             step += 1
         epoch += 1
 
@@ -551,7 +551,7 @@ def _paired_run(step_fn, dataset_dir, preset="b-b"):
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()}
             lr = training._scheduled_lr(step, PAIRED_STEPS, 3e-4, 20)
-            step_fn(model.params, grads, state, optim.LionConfig(lr=lr))
+            step_fn(model.params, grads, state, lr)
             last = float(loss.data)
             step += 1
         epoch += 1
@@ -573,7 +573,7 @@ def test_optimizer_properties(toy_dataset, tmp_path_factory):
     before = {k: p.data.copy() for k, p in params.items()}
     grads = {k: rng.normal(size=p.data.shape).astype(np.float32) for k, p in params.items()}
     grads["b"][0] = 0.0  # a zero gradient must produce a zero update
-    optim.lion_step(params, grads, optim.OptimizerState(), optim.LionConfig(lr=lr))
+    optim.lion_step(params, grads, optim.OptimizerState(), lr)
     deltas = np.concatenate(
         [np.abs(params[k].data - before[k]).reshape(-1) for k in params]
     )

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
 from clipforge import cli
-from clipforge.data import load_split
+from clipforge.data import MANIFEST_NAME, Vocabulary, load_dataset, load_split
 from clipforge.evaluation import METRIC_NAMES, read_report_jsonl
 
 
@@ -209,6 +211,43 @@ def test_eval_vocab_mismatch(run_dir, tmp_path, capsys):
     )
     assert code == 1 and err.startswith("E_EVAL: ")
     assert "vocabulary" in err
+
+
+def renamed_word_copy(dataset_dir, out, word, new):
+    """Copy of a dataset with every caption ``word`` renamed: a vocabulary of
+    the same size whose token ids differ."""
+    shutil.copytree(dataset_dir, out)
+    manifest = out / MANIFEST_NAME
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(re.sub(rf"\b{word}\b", new, text), encoding="utf-8")
+    before, after = (Vocabulary.for_dataset(load_dataset(d)) for d in (dataset_dir, out))
+    assert before.size == after.size and before.ordered_tokens() != after.ordered_tokens()
+    return out
+
+
+def test_same_size_vocabulary_with_other_tokens_refused(run_dir, dataset_dir, tmp_path, capsys):
+    other = renamed_word_copy(dataset_dir, tmp_path / "renamed", "blue", "azure")
+    code, _, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"),
+        "--dataset", str(other), "--output", str(tmp_path / "o"),
+    )
+    assert code == 1 and err.startswith("E_EVAL: ") and "vocabulary" in err
+    code, _, err = run(
+        capsys, *train_args(other, tmp_path / "s2", "--init-from", str(run_dir / "last.nclp"))
+    )
+    assert code == 1 and err.startswith("E_CONFIG: ") and "vocabulary" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_eval_split_all_covers_every_record(run_dir, dataset_dir, tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"),
+        "--dataset", str(dataset_dir), "--output", str(tmp_path / "a"), "--split", "all",
+    )
+    records = load_dataset(dataset_dir).records
+    assert code == 0 and len(records) > len(load_split(dataset_dir)[1])
+    assert f"evaluated {len(records)} images" in out
+    assert read_report_jsonl(tmp_path / "a" / "report.jsonl").metadata["split"] == "all"
 
 
 def test_eval_baseline_recompute_prints(run_dir, dataset_dir, tmp_path, capsys):

@@ -409,7 +409,7 @@ def _model_with_state(seed=2):
     model = DualEncoderModel(micro_config(), init_seed=seed)
     grads = {name: np.ones_like(p.data) for name, p in model.params.items()}
     state = optim.OptimizerState()
-    optim.lion_step(model.params, grads, state, optim.LionConfig(lr=1e-3))
+    optim.lion_step(model.params, grads, state, 1e-3)
     return model, state
 
 

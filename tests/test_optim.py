@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import clipforge.tensor as T
 from clipforge.errors import CheckpointFormatError, ConfigError, TrainingError
 from clipforge.optim import (
-    AdamWConfig,
-    LionConfig,
+    ADAMW_BETAS,
+    ADAMW_EPS,
+    LION_BETAS,
     OptimizerState,
     QuantizedBuffer,
     adamw_step,
@@ -30,23 +31,19 @@ def make_params(values):
 
 
 # ---------------------------------------------------------------------------
-# configs
+# fixed hyperparameters (lr and weight_decay are checked by RunConfig)
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        LionConfig(lr=0.0)
-    with pytest.raises(ConfigError):
-        LionConfig(lr=1e-3, beta1=1.0)
-    with pytest.raises(ConfigError):
-        LionConfig(lr=1e-3, beta2=0.0)
-    with pytest.raises(ConfigError):
-        LionConfig(lr=1e-3, weight_decay=-0.1)
-    with pytest.raises(ConfigError):
-        AdamWConfig(lr=1e-3, eps=0.0)
-    assert LionConfig(lr=1e-3).beta1 == 0.9
-    assert LionConfig(lr=1e-3).beta2 == 0.99
-    assert AdamWConfig(lr=1e-3).beta2 == 0.999
+    assert LION_BETAS == (0.9, 0.99)
+    assert ADAMW_BETAS == (0.9, 0.999)
+    assert ADAMW_EPS == 1e-8
+    # Python floats: an np.float64 factor would promote the float32 updates
+    assert all(type(v) is float for v in (*LION_BETAS, *ADAMW_BETAS, ADAMW_EPS))
+    for step in (lion_step, lion8_step, adamw_step):
+        params = make_params({"w": RNG.normal(size=8)})
+        step(params, {"w": RNG.normal(size=8).astype(np.float32)}, OptimizerState(), 1e-3, 0.01)
+        assert params["w"].data.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -56,24 +53,23 @@ def test_config_validation():
 def test_lion_fresh_momentum_positive_gradient():
     params = make_params({"w": [0.5]})
     state = OptimizerState()
-    cfg = LionConfig(lr=2.0**-8)  # dyadic so the subtraction is exact
-    lion_step(params, {"w": np.array([2.0], dtype=np.float32)}, state, cfg)
-    assert params["w"].data[0] == np.float32(0.5) - np.float32(2.0**-8)
-    expected_m = np.float32((1.0 - cfg.beta2) * 2.0)
+    lr = 2.0**-8  # dyadic so the subtraction is exact
+    lion_step(params, {"w": np.array([2.0], dtype=np.float32)}, state, lr)
+    assert params["w"].data[0] == np.float32(0.5) - np.float32(lr)
+    expected_m = np.float32((1.0 - LION_BETAS[1]) * 2.0)
     np.testing.assert_allclose(state.momentum["w"], [expected_m], rtol=1e-7)
 
 
 def test_lion_zero_gradient_zero_momentum_is_noop():
     params = make_params({"w": [0.25, -0.75]})
     before = params["w"].data.copy()
-    lion_step(params, {"w": np.zeros(2, dtype=np.float32)}, OptimizerState(), LionConfig(lr=0.1))
+    lion_step(params, {"w": np.zeros(2, dtype=np.float32)}, OptimizerState(), 0.1)
     assert np.array_equal(params["w"].data, before)
 
 
 def test_lion_pure_decay():
     params = make_params({"w": [0.5]})
-    cfg = LionConfig(lr=0.125, weight_decay=0.5)
-    lion_step(params, {"w": np.zeros(1, dtype=np.float32)}, OptimizerState(), cfg)
+    lion_step(params, {"w": np.zeros(1, dtype=np.float32)}, OptimizerState(), 0.125, 0.5)
     # theta <- theta - lr*wd*theta
     expected = np.float32(0.5) - np.float32(0.125) * (np.float32(0.5) * np.float32(0.5))
     assert params["w"].data[0] == pytest.approx(float(expected), rel=1e-7)
@@ -85,12 +81,11 @@ def test_lion_update_magnitude_in_zero_or_lr():
     grid = (RNG.integers(-64, 65, size=200) * lr).astype(np.float32)
     params = make_params({"w": grid})
     state = OptimizerState()
-    cfg = LionConfig(lr=lr)
     for _ in range(5):
         g = RNG.normal(size=200).astype(np.float32)
         g[RNG.random(200) < 0.2] = 0.0
         before = params["w"].data.copy()
-        lion_step(params, {"w": g}, state, cfg)
+        lion_step(params, {"w": g}, state, lr)
         deltas = np.abs(params["w"].data - before)
         assert set(np.unique(deltas)) <= {np.float32(0.0), np.float32(lr)}
 
@@ -98,16 +93,11 @@ def test_lion_update_magnitude_in_zero_or_lr():
 def test_frozen_parameters_untouched_bitwise():
     params = make_params({"a": RNG.normal(size=8), "b": RNG.normal(size=8)})
     frozen = params["b"].data.copy()
-    steppers = [
-        (lion_step, LionConfig(lr=0.01)),
-        (lion8_step, LionConfig(lr=0.01)),
-        (adamw_step, AdamWConfig(lr=0.01)),
-    ]
-    for step, cfg in steppers:
+    for step in (lion_step, lion8_step, adamw_step):
         state = OptimizerState()
         for _ in range(20):
             grads = {n: RNG.normal(size=8).astype(np.float32) for n in params}
-            step({"a": params["a"]}, grads, state, cfg)
+            step({"a": params["a"]}, grads, state, 0.01)
         assert np.array_equal(params["b"].data, frozen)
         assert "b" not in state.momentum and "b" not in state.second_moment
 
@@ -115,22 +105,22 @@ def test_frozen_parameters_untouched_bitwise():
 def test_nan_gradient_names_parameter():
     params = make_params({"good": [1.0], "bad/weight": [1.0]})
     grads = {"good": np.array([0.1], dtype=np.float32), "bad/weight": np.array([np.nan], dtype=np.float32)}
-    for step, cfg in ((lion_step, LionConfig(lr=0.1)), (adamw_step, AdamWConfig(lr=0.1))):
+    for step in (lion_step, adamw_step):
         with pytest.raises(TrainingError) as exc:
-            step(params, grads, OptimizerState(), cfg)
+            step(params, grads, OptimizerState(), 0.1)
         assert "bad/weight" in str(exc.value)
 
 
 def test_missing_gradient_rejected():
     params = make_params({"w": [1.0]})
     with pytest.raises(TrainingError):
-        lion_step(params, {}, OptimizerState(), LionConfig(lr=0.1))
+        lion_step(params, {}, OptimizerState(), 0.1)
 
 
 def test_gradient_shape_mismatch_rejected():
     params = make_params({"w": [1.0, 2.0]})
     with pytest.raises(TrainingError):
-        lion_step(params, {"w": np.zeros(3, dtype=np.float32)}, OptimizerState(), LionConfig(lr=0.1))
+        lion_step(params, {"w": np.zeros(3, dtype=np.float32)}, OptimizerState(), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def test_gradient_shape_mismatch_rejected():
 def test_adamw_first_step_magnitude_is_lr():
     params = make_params({"w": [0.3]})
     lr = 1e-3
-    adamw_step(params, {"w": np.ones(1, dtype=np.float32)}, OptimizerState(), AdamWConfig(lr=lr))
+    adamw_step(params, {"w": np.ones(1, dtype=np.float32)}, OptimizerState(), lr)
     delta = 0.3 - float(params["w"].data[0])
     assert delta == pytest.approx(lr, rel=1e-4)  # float32 storage rounds the base value
 
@@ -150,17 +140,24 @@ def test_adamw_zero_gradients_keep_parameters():
     before = params["w"].data.copy()
     state = OptimizerState()
     for _ in range(10):
-        adamw_step(params, {"w": np.zeros(2, dtype=np.float32)}, state, AdamWConfig(lr=0.05))
+        adamw_step(params, {"w": np.zeros(2, dtype=np.float32)}, state, 0.05)
     assert np.array_equal(params["w"].data, before)
+
+
+def test_adamw_pure_decay():
+    # zero gradient: the moment term is 0, so the decoupled decay alone moves p
+    params = make_params({"w": [0.5, -0.25]})
+    adamw_step(params, {"w": np.zeros(2, dtype=np.float32)}, OptimizerState(), 0.125, 0.5)
+    # theta <- theta - lr*wd*theta, exact on these dyadic values
+    assert params["w"].data.tolist() == [0.5 - 0.125 * 0.5 * 0.5, -0.25 + 0.125 * 0.5 * 0.25]
 
 
 def test_adamw_quadratic_bowl_converges():
     params = make_params({"w": [1.0]})
     state = OptimizerState()
-    cfg = AdamWConfig(lr=0.05)
     for _ in range(500):
         g = 2.0 * params["w"].data
-        adamw_step(params, {"w": g.astype(np.float32)}, state, cfg)
+        adamw_step(params, {"w": g.astype(np.float32)}, state, 0.05)
     assert abs(float(params["w"].data[0])) < 1e-2
 
 
@@ -236,16 +233,15 @@ def test_lion8_first_step_matches_lion():
     g = RNG.normal(size=600).astype(np.float32)
     full = make_params({"w": values.copy()})
     quant = make_params({"w": values.copy()})
-    cfg = LionConfig(lr=3e-4)
-    lion_step(full, {"w": g}, OptimizerState(), cfg)
-    lion8_step(quant, {"w": g}, OptimizerState(), cfg)
+    lion_step(full, {"w": g}, OptimizerState(), 3e-4)
+    lion8_step(quant, {"w": g}, OptimizerState(), 3e-4)
     assert np.array_equal(full["w"].data, quant["w"].data)
 
 
 def test_lion8_state_memory_accounting():
     params = make_params({"w": RNG.normal(size=1000).astype(np.float32)})
     state = OptimizerState(block_size=256)
-    lion8_step(params, {"w": np.ones(1000, dtype=np.float32)}, state, LionConfig(lr=1e-3))
+    lion8_step(params, {"w": np.ones(1000, dtype=np.float32)}, state, 1e-3)
     buf = state.momentum["w"]
     assert isinstance(buf, QuantizedBuffer)
     # 1 byte per parameter plus 4 bytes per block (1000 -> 4 blocks)
@@ -257,15 +253,15 @@ def test_lion8_tracks_lion_over_many_steps():
     values = RNG.normal(size=512).astype(np.float32)
     full = make_params({"w": values.copy()})
     quant = make_params({"w": values.copy()})
-    cfg = LionConfig(lr=1e-3)
+    lr = 1e-3
     fs, qs = OptimizerState(), OptimizerState()
     rng = np.random.default_rng(7)
     for _ in range(100):
         g = rng.normal(size=512).astype(np.float32)
-        lion_step(full, {"w": g}, fs, cfg)
-        lion8_step(quant, {"w": g}, qs, cfg)
+        lion_step(full, {"w": g}, fs, lr)
+        lion8_step(quant, {"w": g}, qs, lr)
     # 8-bit momentum error flips some near-zero signs; drift stays a few lr
-    diff = np.abs(quant["w"].data - full["w"].data) / cfg.lr
+    diff = np.abs(quant["w"].data - full["w"].data) / lr
     assert diff.mean() < 2.0
     assert diff.max() < 15.0
 
@@ -300,15 +296,15 @@ def test_lr_schedule_no_warmup():
 def _advance(step, params, state, cfg, rng, n=3):
     for _ in range(n):
         grads = {k: rng.normal(size=p.data.shape).astype(np.float32) for k, p in params.items()}
-        step(params, grads, state, cfg)
+        step(params, grads, state, **cfg)
 
 
 @pytest.mark.parametrize(
     "step,cfg",
     [
-        (lion_step, LionConfig(lr=1e-3)),
-        (lion8_step, LionConfig(lr=1e-3)),
-        (adamw_step, AdamWConfig(lr=1e-3)),
+        (lion_step, {"lr": 1e-3}),
+        (lion8_step, {"lr": 1e-3}),
+        (adamw_step, {"lr": 1e-3, "weight_decay": 0.01}),
     ],
 )
 def test_state_roundtrip_preserves_trajectory(step, cfg):
@@ -337,12 +333,12 @@ def _stored_state(step, cfg):
 @pytest.mark.parametrize(
     "step, cfg, edit",
     [
-        (lion_step, LionConfig(lr=1e-3), lambda a: a.update({"m/gone": a.pop("m/w")})),
-        (adamw_step, AdamWConfig(lr=1e-3), lambda a: a.update({"v/w": a["v/w"][:-1]})),
-        (lion_step, LionConfig(lr=1e-3), lambda a: a.update({"m/b": a["m/b"].reshape(7, 1)})),
-        (lion8_step, LionConfig(lr=1e-3), lambda a: a.pop("m_codes/w")),
-        (lion8_step, LionConfig(lr=1e-3), lambda a: a.pop("m_absmax/b")),
-        (lion8_step, LionConfig(lr=1e-3), lambda a: a.update({"m_codes/b": a["m_codes/b"][:3]})),
+        (lion_step, {"lr": 1e-3}, lambda a: a.update({"m/gone": a.pop("m/w")})),
+        (adamw_step, {"lr": 1e-3}, lambda a: a.update({"v/w": a["v/w"][:-1]})),
+        (lion_step, {"lr": 1e-3}, lambda a: a.update({"m/b": a["m/b"].reshape(7, 1)})),
+        (lion8_step, {"lr": 1e-3}, lambda a: a.pop("m_codes/w")),
+        (lion8_step, {"lr": 1e-3}, lambda a: a.pop("m_absmax/b")),
+        (lion8_step, {"lr": 1e-3}, lambda a: a.update({"m_codes/b": a["m_codes/b"][:3]})),
     ],
     ids=[
         "names-no-parameter",
@@ -362,7 +358,7 @@ def test_stored_state_must_fit_the_parameters(step, cfg, edit):
 
 
 def test_stored_quantized_state_must_name_a_parameter():
-    meta, arrays, params = _stored_state(lion8_step, LionConfig(lr=1e-3))
+    meta, arrays, params = _stored_state(lion8_step, {"lr": 1e-3})
     del params["w"]  # a quantized name missing from the params used to raise a bare KeyError
     with pytest.raises(CheckpointFormatError):
         state_from_arrays(meta, arrays, params)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,34 @@ def test_config_mismatch_refused(dataset_dir, tmp_path):
         run_training(tiny_config(dataset_dir, out, epochs=1, lr=9e-4))
 
 
+def _interrupt(*_args, **_kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("kill", ["after-first-checkpoint", "before-any-checkpoint"])
+def test_resume_refuses_a_run_of_another_dataset(tmp_path, monkeypatch, kill):
+    # the corpus is regenerated at the same path: config.effective still matches
+    data, out = make_dataset(tmp_path / "ds"), tmp_path / "run"
+    config = tiny_config(data, out)
+    log = None
+    if kill == "after-first-checkpoint":
+        log = _interrupt  # the first log line follows epoch 0's last.nclp
+    else:
+        monkeypatch.setattr(training, "batch_loss", _interrupt)  # the run line is written
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config, log=log)
+    monkeypatch.undo()
+    assert (out / training.LAST_CHECKPOINT).exists() == (kill == "after-first-checkpoint")
+    shutil.rmtree(data)
+    make_dataset(data, seed=4)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    with pytest.raises(ConfigError) as exc:
+        run_training(config)
+    assert exc.value.code == "E_CONFIG"
+    assert "--force" in str(exc.value) and "\n" not in str(exc.value)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_freeze_regimes_pin_parameters(dataset_dir, tmp_path):
     for regime, prefixes in (("text-encoder", ("image/",)), ("projection", ("image/", "text/"))):
         config = tiny_config(dataset_dir, tmp_path / regime, epochs=1, regime=regime)
@@ -556,6 +585,23 @@ def test_adamw_and_lion8_run(dataset_dir, tmp_path):
             tiny_config(dataset_dir, tmp_path / optimizer, epochs=1, optimizer=optimizer)
         )
         assert np.isfinite(result.stats[0].val_loss)
+
+
+def test_run_training_steps_through_the_module_attribute(dataset_dir, tmp_path, monkeypatch):
+    # perfbench wraps optim.lion_step and reads params (args[0]) and the state (args[2])
+    calls, lion_step = [], optim.lion_step
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return lion_step(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "lion_step", wrapped)
+    result = run_training(tiny_config(dataset_dir, tmp_path / "w", epochs=1))
+    assert len(calls) == result.total_steps > 0
+    for args in calls:
+        assert set(args[0]) == set(result.model.params)
+        assert all(isinstance(p, T.Tensor) for p in args[0].values())
+        assert isinstance(args[2], optim.OptimizerState)
 
 
 def test_resume_optimizer_mismatch(dataset_dir, tmp_path):
