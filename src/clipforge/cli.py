@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import shutil
 import sys
@@ -39,7 +38,9 @@ from .training import (
     coerce_field,
     key_value_text,
     read_config_file,
+    read_record,
     run_training,
+    write_record,
 )
 
 ENV_PREFIX = "CLIPFORGE_"
@@ -180,6 +181,7 @@ def cmd_eval(args) -> int:
 
     out = Path(args.output).resolve()
     out.mkdir(parents=True, exist_ok=True)
+    record = read_record(out)  # refused here, before any output is written
     effective = {
         "checkpoint": str(Path(args.checkpoint).resolve()),
         "dataset": str(Path(args.dataset).resolve()),
@@ -221,14 +223,8 @@ def cmd_eval(args) -> int:
     E.write_report_csv(report, out / "report.csv")
     E.write_report_jsonl(report, out / "report.jsonl")
     _write_effective(out / "eval.effective", effective)
-    if (out / RECORD_FILE).exists():
-        with open(out / RECORD_FILE, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"record": "report", "path": str(out / "report.jsonl")}, sort_keys=True
-                )
-                + "\n"
-            )
+    if record:  # a training output dir: register the report in its run record
+        write_record(out, record + [{"record": "report", "path": str(out / "report.jsonl")}])
 
     print(f"evaluated {len(records)} images, direction {report.direction}")
     header = ["language"] + list(E.METRIC_NAMES)
@@ -271,7 +267,7 @@ def _baseline_section(report, spec_text: str, out: Path) -> None:
     lines = ["language," + ",".join(E.METRIC_NAMES)]
     for name, deltas in rows + [("average", cmp.average_delta)]:
         lines.append(",".join([name] + [repr(deltas[m]) if m in deltas else "" for m in E.METRIC_NAMES]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
     print(f"deltas against {source}:{model_name} written to {path}")
 
 
@@ -280,26 +276,17 @@ def _baseline_section(report, spec_text: str, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_run(run_dir: Path):
-    record_path = run_dir / RECORD_FILE
-    if not record_path.exists():
-        raise ConfigError(f"{run_dir} has no {RECORD_FILE}; is it a training output dir?")
-    run_line, report_path = None, None
-    for line in record_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        entry = json.loads(line)
-        if entry.get("record") == "run" and run_line is None:
-            run_line = entry
-        elif entry.get("record") == "report":
-            report_path = entry.get("path")
-    if run_line is None:
-        raise ConfigError(f"{record_path} has no run entry")
-    if report_path is None:
+    record = read_record(run_dir)
+    runs = [entry for entry in record if entry.get("record") == "run"]
+    reports = [entry["path"] for entry in record if entry.get("record") == "report"]
+    if not runs:
+        raise ConfigError(f"{run_dir / RECORD_FILE} has no run entry; is it a training output dir?")
+    if not reports:
         raise ConfigError(
-            f"run {run_line.get('run_id')} in {run_dir} has no evaluation report;"
+            f"run {runs[0].get('run_id')} in {run_dir} has no evaluation report;"
             " run the eval command with this directory as --output first"
         )
-    return run_line, E.read_report_jsonl(report_path)
+    return runs[0], E.read_report_jsonl(reports[-1])
 
 
 def cmd_report(args) -> int:
@@ -327,7 +314,7 @@ def cmd_report(args) -> int:
             report.direction,
         ] + [repr(getattr(report.average, name)) for name in E.METRIC_NAMES]
         lines.append(",".join(cells))
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    M.replace_file(out / "comparison.csv", [("\n".join(lines) + "\n").encode("utf-8")])
     _write_effective(
         out / "report.effective",
         {"runs": ";".join(str(d) for d in run_dirs), "allow_mixed": args.allow_mixed},

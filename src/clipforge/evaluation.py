@@ -284,7 +284,7 @@ def write_report_csv(report: MetricReport, path) -> None:
         lines.append(f"{language},{cells}")
     cells = ",".join(f"{getattr(report.average, name):.2f}" for name in METRIC_NAMES)
     lines.append(f"{AVERAGE_ROW},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def write_report_jsonl(report: MetricReport, path) -> None:
@@ -305,7 +305,7 @@ def write_report_jsonl(report: MetricReport, path) -> None:
             json.dumps({"record": "language", "language": language, **row.as_dict()}, sort_keys=True)
         )
     lines.append(json.dumps({"record": AVERAGE_ROW, **report.average.as_dict()}, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def read_report_jsonl(path) -> MetricReport:

@@ -449,7 +449,10 @@ def read_tensor_file(path):
         arrays = {}
         crc = 0
         for _ in range(u32()):
-            name = take(u32()).decode("utf-8")
+            try:  # the crc covers payloads only
+                name = take(u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointIntegrityError(f"unreadable entry name: {exc}") from exc
             shape = tuple(u32() for _ in range(u32()))
             payload = take(int(np.prod(shape, dtype=np.int64)) * 4)
             crc = zlib.crc32(payload, crc)

@@ -69,10 +69,10 @@ class RunConfig:
             raise ConfigError(
                 f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}"
             )
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 2:
             raise ConfigError(
                 f"batch_size must be >= 2 (the loss needs in-batch negatives),"
@@ -236,26 +236,28 @@ def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=No
 # run state on disk
 # ---------------------------------------------------------------------------
 
-def _append_record(out: Path, entry: dict) -> None:
-    with open(out / RECORD_FILE, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def read_record(out) -> list:
+    """Entries of the run record in ``out``, [] without one.  Every write replaces
+    the whole file, so only a killed append of an older version can tear the last
+    line: it is dropped.  Any other unparsable line is refused."""
+    path = Path(out) / RECORD_FILE
+    lines = path.read_bytes().splitlines() if path.exists() else []
+    entries = []
+    for number, line in enumerate(lines, start=1):
+        try:  # {**...} refuses JSON that is not an object
+            entries.append({**json.loads(line)})
+        except (TypeError, ValueError):  # not an object, bad JSON or torn UTF-8
+            if number < len(lines):
+                raise ConfigError(
+                    f"{path}:{number}: unparsable run record line; use --force to start over"
+                ) from None
+    return entries
 
 
-def _recorded_run_id(out: Path):
-    """Run id of the record's run line, which precedes every checkpoint; None without one."""
-    path = out / RECORD_FILE
-    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
-    runs = [e for e in map(json.loads, filter(str.strip, lines)) if e.get("record") == "run"]
-    return runs[0]["run_id"] if runs else None
-
-
-def _trim_record(out: Path, next_epoch: int) -> None:
-    """Drop the epoch lines a restart at ``next_epoch`` writes again: a kill
-    after an epoch's record but before its checkpoint leaves them behind."""
-    path = out / RECORD_FILE
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines(keepends=True) if l.strip()]
-    kept = "".join(l for l in lines if json.loads(l).get("epoch", -1) < next_epoch)
-    M.replace_file(path, [kept.encode("utf-8")])
+def write_record(out, entries) -> None:
+    """Replace the run record in ``out`` with ``entries``, one JSON line each."""
+    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+    M.replace_file(Path(out) / RECORD_FILE, [text.encode("utf-8")])
 
 
 @dataclass(frozen=True)
@@ -321,6 +323,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     )
 
     run_id = run_id_of(config)
+    record = read_record(out)
     effective = config_to_text(config)
     config_path = out / EFFECTIVE_CONFIG
     if config_path.exists():
@@ -331,8 +334,8 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             )
     else:
         M.replace_file(config_path, [effective.encode("utf-8")])
-    recorded = _recorded_run_id(out)
-    if recorded not in (None, run_id):
+    recorded = next((e["run_id"] for e in record if e.get("record") == "run"), run_id)
+    if recorded != run_id:
         raise ConfigError(
             f"output dir {out} holds run {recorded}, not {run_id} (the dataset or init"
             " checkpoint changed); use --force to start over"
@@ -376,10 +379,15 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         state = optim.OptimizerState()
         next_epoch = 0
         best_val = float("inf")
-    if (out / RECORD_FILE).exists():
-        _trim_record(out, next_epoch)
-    else:
-        _append_record(out, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)})
+    # a kill after an epoch's record line but before its checkpoint left lines to write again
+    record = [e for e in record if e.get("epoch", -1) < next_epoch]
+    if not any(e.get("record") == "run" for e in record):
+        record.insert(0, {"record": "run", "run_id": run_id, "config": dataclasses.asdict(config)})
+    epochs = [e["epoch"] for e in record if e.get("record") == "epoch"]
+    if epochs != list(range(next_epoch)):
+        raise ConfigError(f"{out / RECORD_FILE} holds epochs {epochs}, but {LAST_CHECKPOINT}"
+                          f" resumes at epoch {next_epoch}; use --force to start over")
+    write_record(out, record)
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}
@@ -427,8 +435,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             seconds=time.perf_counter() - start,
         )
         stats.append(entry)
-        # record first: a kill before the checkpoint redoes the epoch, and _trim_record drops this line
-        _append_record(out, {"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
+        # record first: a kill before the checkpoint redoes the epoch, and the restart drops this line
+        record.append({"record": "epoch", "run_id": run_id, **dataclasses.asdict(entry)})
+        write_record(out, record)
 
         meta = {"run_id": run_id, "val_loss": val_loss, "seeds": seeds, "vocabulary": tokens}
         if val_loss < best_val:

@@ -355,6 +355,70 @@ def test_report_needs_eval_first(dataset_dir, run_dir, tmp_path, capsys):
     assert code == 1 and "eval" in err
 
 
+def test_corrupt_entry_name_in_a_checkpoint_is_refused(run_dir, dataset_dir, tmp_path, capsys):
+    # the checkpoint crc covers payloads only, not entry names
+    data = bytearray((run_dir / "best.nclp").read_bytes())
+    data[data.index(b"image/block0")] = 0xFF
+    bad = tmp_path / "best.nclp"
+    bad.write_bytes(bytes(data))
+    code, _, err = run(
+        capsys, "eval", "--checkpoint", str(bad), "--dataset", str(dataset_dir),
+        "--output", str(tmp_path / "e"),
+    )
+    assert code == 1 and err.startswith("E_CHECKPOINT_INTEGRITY: ")
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# run record
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["{not json", "[1]"], ids=["bad-json", "not-an-object"])
+@pytest.mark.parametrize("command", ["train", "eval", "report"])
+def test_unparsable_middle_record_line_is_refused(dataset_dir, run_dir, tmp_path, capsys, command, bad):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "run_record.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + bad + "\n" + "".join(lines[1:]), encoding="utf-8")
+    argv = {
+        "train": train_args(dataset_dir, copy),
+        "eval": ["eval", "--checkpoint", str(copy / "best.nclp"), "--dataset",
+                 str(dataset_dir), "--output", str(copy)],
+        "report": ["report", "--runs", str(run_dir), str(copy), "--output", str(tmp_path / "r")],
+    }[command]
+    before = tree_digest(copy)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert f"{path}:2:" in err and "--force" in err
+    assert tree_digest(copy) == before
+
+
+def test_report_reads_the_report_eval_registered_over_a_torn_record_tail(
+    dataset_dir, run_dir, tmp_path, capsys
+):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    path = copy / "run_record.jsonl"
+    path.write_bytes(path.read_bytes()[:-20])  # tears the last report line
+    assert run(
+        capsys, "eval", "--checkpoint", str(copy / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(copy), "--split", "all",
+    )[0] == 0
+    entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert entries[-1] == {"record": "report", "path": str(copy / "report.jsonl")}
+    code, _, err = run(
+        capsys, "report", "--runs", str(copy), str(run_dir), "--output", str(tmp_path / "r")
+    )
+    assert code == 0, err
+    row = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]
+    report = read_report_jsonl(copy / "report.jsonl")
+    assert report.metadata["split"] == "all"
+    assert [float(c) for c in row.split(",")[5:]] == [
+        getattr(report.average, name) for name in METRIC_NAMES
+    ]
+
+
 # ---------------------------------------------------------------------------
 # shared error surface
 # ---------------------------------------------------------------------------

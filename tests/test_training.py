@@ -75,6 +75,9 @@ def test_config_validation():
         RunConfig(**good, lr=0.0)
     with pytest.raises(ConfigError):
         RunConfig(**good, weight_decay=-0.1)
+    for field, value in (("lr", "inf"), ("lr", "nan"), ("weight_decay", "inf"), ("weight_decay", "nan")):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**good, **{field: float(value)})
     with pytest.raises(ConfigError):
         RunConfig(**good, batch_size=1)
     with pytest.raises(ConfigError):
@@ -238,21 +241,21 @@ def test_restart_after_kill_in_first_epoch_keeps_one_run_line(dataset_dir, tmp_p
 @pytest.mark.parametrize("written", [False, True], ids=["before-record", "after-record"])
 @pytest.mark.parametrize("epoch", [0, 1])
 def test_kill_around_epoch_record_keeps_each_epoch_once(dataset_dir, tmp_path, monkeypatch, epoch, written):
-    append = training._append_record
+    write_record = training.write_record
 
-    def dying_append(out, entry):
-        # the kill lands just before or just after this epoch's record line
-        if entry.get("epoch") == epoch:
+    def dying_write(out, entries):
+        # the kill lands just before or just after the record write that adds this epoch's line
+        if entries[-1].get("epoch") == epoch:
             if written:
-                append(out, entry)
+                write_record(out, entries)
             raise KeyboardInterrupt
-        append(out, entry)
+        write_record(out, entries)
 
     config = tiny_config(dataset_dir, tmp_path / "k", epochs=3)
-    monkeypatch.setattr(training, "_append_record", dying_append)
+    monkeypatch.setattr(training, "write_record", dying_write)
     with pytest.raises(KeyboardInterrupt):
         run_training(config)
-    monkeypatch.setattr(training, "_append_record", append)
+    monkeypatch.setattr(training, "write_record", write_record)
     run_training(config)
     lines = [json.loads(l) for l in (tmp_path / "k" / training.RECORD_FILE).read_text().splitlines()]
     assert [l["record"] for l in lines] == ["run", "epoch", "epoch", "epoch"]
@@ -260,21 +263,25 @@ def test_kill_around_epoch_record_keeps_each_epoch_once(dataset_dir, tmp_path, m
     assert not (tmp_path / "k" / (training.RECORD_FILE + ".tmp")).exists()
 
 
-# every write of an uninterrupted 3-epoch run, in order (best.nclp improves each epoch)
+# every write of an uninterrupted 3-epoch run, in order (best.nclp improves each epoch);
+# a record write is named by the kind of line it adds
 WRITES = [training.EFFECTIVE_CONFIG, "run"] + [
     "epoch", training.BEST_CHECKPOINT, training.LAST_CHECKPOINT
 ] * 3
 
 
 def _route_writes(monkeypatch, on_write):
-    """Send each file replacement and record line through on_write(name, write)."""
-    replace, append = M.replace_file, training._append_record
-    monkeypatch.setattr(
-        M, "replace_file", lambda path, data: on_write(Path(path).name, lambda: replace(path, data))
-    )
-    monkeypatch.setattr(
-        training, "_append_record", lambda out, entry: on_write(entry["record"], lambda: append(out, entry))
-    )
+    """Send each file replacement through on_write(name, write)."""
+    replace = M.replace_file
+
+    def routed(path, chunks):
+        name = Path(path).name
+        if name == training.RECORD_FILE:
+            chunks = list(chunks)
+            name = json.loads(b"".join(chunks).splitlines()[-1])["record"]
+        on_write(name, lambda: replace(path, chunks))
+
+    monkeypatch.setattr(M, "replace_file", routed)
 
 
 @pytest.fixture(scope="module")
@@ -287,9 +294,13 @@ def three_epoch_run(dataset_dir, tmp_path_factory):
     return out, names
 
 
-@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+def _file_of(write: str) -> str:
+    return training.RECORD_FILE if write in ("run", "epoch") else write
+
+
+@pytest.mark.parametrize("when", ["before", "after", "mid"])
 @pytest.mark.parametrize("point", range(len(WRITES)), ids=[f"{i}-{n}" for i, n in enumerate(WRITES)])
-def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch, three_epoch_run, point, after):
+def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch, three_epoch_run, point, when):
     straight, names = three_epoch_run
     assert names == WRITES  # so the cases cover every write the run makes
     seen = []
@@ -297,16 +308,24 @@ def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch,
     def dying_write(name, write):
         seen.append(name)
         if len(seen) == point + 1:
-            if after:
+            if when == "after":
                 write()
             raise KeyboardInterrupt
         write()
 
     out = tmp_path / "k"
     config = tiny_config(dataset_dir, out, epochs=3)
-    _route_writes(monkeypatch, dying_write)
+    if when == "mid":
+        # the kill leaves a prefix of this write's bytes in <file>.tmp
+        name = _file_of(WRITES[point])
+        nth = [_file_of(w) for w in WRITES[: point + 1]].count(name)
+        monkeypatch.setattr(M, "open", _dying_open(name, nth), raising=False)
+    else:
+        _route_writes(monkeypatch, dying_write)
     with pytest.raises(KeyboardInterrupt):
         run_training(config)
+    if when == "mid":
+        assert list(out.glob("*.tmp")) == [out / f"{_file_of(WRITES[point])}.tmp"]
     monkeypatch.undo()
     run_training(config)
     for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
@@ -314,6 +333,47 @@ def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch,
     lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
     assert [l.get("epoch", l["record"]) for l in lines] == ["run", 0, 1, 2]
     assert not list(out.glob("*.tmp"))
+
+
+def test_empty_record_file_restarts_with_a_run_line(dataset_dir, tmp_path):
+    out = tmp_path / "k"
+    out.mkdir()
+    (out / training.RECORD_FILE).write_bytes(b"")
+    run_training(tiny_config(dataset_dir, out))
+    lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
+    assert [l["record"] for l in lines] == ["run", "epoch", "epoch"]
+
+
+def test_torn_record_tail_of_an_older_append_resumes_bitwise(dataset_dir, tmp_path, three_epoch_run):
+    # an older version appended each line in place: a kill inside epoch 1's append tore it
+    straight, _ = three_epoch_run
+    out = tmp_path / "k"
+    config = tiny_config(dataset_dir, out, epochs=3)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config, log=_interrupt)  # the first log line follows epoch 0's last.nclp
+    line = json.dumps({"record": "epoch", "epoch": 1, "run_id": run_id_of(config.resolved())})
+    with open(out / training.RECORD_FILE, "a", encoding="utf-8") as fh:
+        fh.write(line[: len(line) // 2])
+    run_training(config)
+    for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
+        assert (out / name).read_bytes() == (straight / name).read_bytes()
+    lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
+    assert [l.get("epoch", l["record"]) for l in lines] == ["run", 0, 1, 2]
+
+
+def test_finished_run_with_a_torn_record_is_refused(dataset_dir, tmp_path):
+    # dropping the torn epoch 1 line would lose it: last.nclp already resumes at epoch 2
+    out = tmp_path / "k"
+    config = tiny_config(dataset_dir, out)
+    run_training(config)
+    path = out / training.RECORD_FILE
+    path.write_bytes(path.read_bytes()[:-20])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ConfigError) as exc:
+        run_training(config)
+    assert exc.value.code == "E_CONFIG"
+    assert "--force" in str(exc.value) and "\n" not in str(exc.value)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("optstate", [False, True], ids=["alone", "with-optstate"])
