@@ -223,8 +223,8 @@ def cmd_eval(args) -> int:
     E.write_report_csv(report, out / "report.csv")
     E.write_report_jsonl(report, out / "report.jsonl")
     _write_effective(out / "eval.effective", effective)
-    if record:  # a training output dir: register the report in its run record
-        write_record(out, record + [{"record": "report", "path": str(out / "report.jsonl")}])
+    if record:  # a training output dir: register the report, relative so the dir can move
+        write_record(out, record + [{"record": "report", "path": "report.jsonl"}])
 
     print(f"evaluated {len(records)} images, direction {report.direction}")
     header = ["language"] + list(E.METRIC_NAMES)
@@ -278,7 +278,8 @@ def _baseline_section(report, spec_text: str, out: Path) -> None:
 def _load_run(run_dir: Path):
     record = read_record(run_dir)
     runs = [entry for entry in record if entry.get("record") == "run"]
-    reports = [entry["path"] for entry in record if entry.get("record") == "report"]
+    # relative to run_dir; an absolute path of an older record joins to itself
+    reports = [run_dir / entry["path"] for entry in record if entry.get("record") == "report"]
     if not runs:
         raise ConfigError(f"{run_dir / RECORD_FILE} has no run entry; is it a training output dir?")
     if not reports:

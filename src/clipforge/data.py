@@ -291,7 +291,10 @@ def generate_synthetic_corpus(
 # ---------------------------------------------------------------------------
 
 def read_pixel_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read pixel file {path}: {exc.strerror}") from exc
     if len(raw) % 3:
         raise DatasetFormatError(f"pixel file {path}: size {len(raw)} is not a multiple of 3")
     side = math.isqrt(len(raw) // 3)

@@ -417,7 +417,11 @@ def read_tensor_file(path):
     """Inverse of write_tensor_file; returns (header dict, name->array).
 
     Each payload is read straight into the buffer its array wraps."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointIntegrityError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
 
         def take(n: int) -> bytearray:

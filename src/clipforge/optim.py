@@ -50,34 +50,21 @@ class QuantizedBuffer:
 def quantize_block(x, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedBuffer:
     if block_size < 1:
         raise ConfigError(f"quantize: block_size must be >= 1, got {block_size}")
-    arr = np.asarray(x, dtype=np.float32)
-    flat = arr.reshape(-1)
-    n_blocks = max(1, -(-flat.size // block_size))
-    padded = np.zeros(n_blocks * block_size, dtype=np.float32)
-    padded[: flat.size] = flat
-    blocks = padded.reshape(n_blocks, block_size)
-    absmax = np.abs(blocks).max(axis=1).astype(np.float32)
-    # float64 keeps tiny absmax values from overflowing the reciprocal
-    inv = np.zeros(n_blocks, dtype=np.float64)
-    nonzero = absmax > 0
-    inv[nonzero] = 127.0 / absmax[nonzero].astype(np.float64)
-    codes = np.clip(np.rint(blocks.astype(np.float64) * inv[:, None]), -127, 127).astype(np.int8)
-    return QuantizedBuffer(
-        codes=codes.reshape(-1)[: flat.size].copy(),
-        absmax=absmax,
-        block_size=block_size,
-        shape=arr.shape,
-    )
+    flat = np.asarray(x, dtype=np.float32).reshape(-1)
+    n = flat.size
+    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, n, block_size)) if n else np.zeros(1, np.float32)
+    # float64 keeps tiny absmax values from overflowing the reciprocal; cast first,
+    # as NumPy 2 divides a float32 array by a Python float in float32
+    inv = np.divide(127.0, absmax.astype(np.float64), out=np.zeros(absmax.size), where=absmax > 0)
+    # no clip: |x| <= absmax in its block, so |x * fl(127/absmax)| < 127.5
+    codes = np.rint(flat * np.repeat(inv, block_size)[:n]).astype(np.int8)
+    return QuantizedBuffer(codes, absmax, block_size, np.shape(x))
 
 
 def dequantize_block(buf: QuantizedBuffer) -> np.ndarray:
-    n_blocks = buf.absmax.size
-    padded = np.zeros(n_blocks * buf.block_size, dtype=np.float32)
-    padded[: buf.codes.size] = buf.codes.astype(np.float32)
-    blocks = padded.reshape(n_blocks, buf.block_size)
+    scales = np.repeat(buf.absmax, buf.block_size)[: buf.codes.size]
     # multiply before dividing so codes at +-127 reproduce absmax exactly
-    values = blocks * buf.absmax[:, None] / np.float32(127.0)
-    return values.reshape(-1)[: buf.codes.size].reshape(buf.shape)
+    return (buf.codes.astype(np.float32) * scales / np.float32(127.0)).reshape(buf.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +74,10 @@ def dequantize_block(buf: QuantizedBuffer) -> np.ndarray:
 class OptimizerState:
     """Per-parameter buffers, created lazily on the first step."""
 
-    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
+    def __init__(self):
         self.momentum: dict = {}
         self.second_moment: dict = {}
         self.step_count = 0
-        self.block_size = block_size
 
     def memory_bytes(self) -> int:
         return sum(buf.nbytes for buf in (*self.momentum.values(), *self.second_moment.values()))
@@ -105,7 +91,7 @@ def state_to_arrays(state: OptimizerState):
     """
     meta = {
         "step_count": state.step_count,
-        "block_size": state.block_size,
+        "block_size": DEFAULT_BLOCK_SIZE,
         "quantized": sorted(
             name for name, buf in state.momentum.items() if isinstance(buf, QuantizedBuffer)
         ),
@@ -126,13 +112,13 @@ def state_from_arrays(meta: dict, arrays: dict, params: dict) -> OptimizerState:
     """Inverse of state_to_arrays; refuses an array that does not fit its
     parameter in ``params``."""
     try:
-        state = OptimizerState(block_size=int(meta["block_size"]))
+        state = OptimizerState()
         state.step_count = int(meta["step_count"])
         quantized = set(meta["quantized"])
+        if int(meta["block_size"]) != DEFAULT_BLOCK_SIZE:
+            raise CheckpointFormatError(f"state block_size {meta['block_size']}, not {DEFAULT_BLOCK_SIZE}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"bad optimizer state block: {exc!r}") from exc
-    if state.block_size < 1:
-        raise CheckpointFormatError(f"optimizer state: block_size {state.block_size} < 1")
     for key, arr in arrays.items():
         kind, _, name = key.partition("/")
         if name not in params:
@@ -141,7 +127,7 @@ def state_from_arrays(meta: dict, arrays: dict, params: dict) -> OptimizerState:
         size = math.prod(shape)
         fits = {"m": shape, "v": shape}
         if name in quantized:  # codes ride flat, one absmax per block
-            fits = {"v": shape, "m_codes": (size,), "m_absmax": (max(1, -(-size // state.block_size)),)}
+            fits = {"v": shape, "m_codes": (size,), "m_absmax": (max(1, -(-size // DEFAULT_BLOCK_SIZE)),)}
         if arr.shape != fits.get(kind):
             raise CheckpointFormatError(
                 f"optimizer state array {key}: shape {arr.shape} does not fit parameter shape {shape}"
@@ -153,7 +139,7 @@ def state_from_arrays(meta: dict, arrays: dict, params: dict) -> OptimizerState:
         if codes is None or absmax is None:
             raise CheckpointFormatError(f"optimizer state: {name} lacks its 8-bit codes or absmax")
         state.momentum[name] = QuantizedBuffer(
-            codes.astype(np.int8), absmax, state.block_size, params[name].data.shape
+            codes.astype(np.int8), absmax, DEFAULT_BLOCK_SIZE, params[name].data.shape
         )
     return state
 
@@ -202,7 +188,7 @@ def lion8_step(params: dict, grads: dict, state: OptimizerState, lr: float, weig
     for name, p, g in _iter_trainable(params, grads):
         buf = state.momentum.get(name)
         m = dequantize_block(buf) if buf is not None else np.zeros_like(p.data)
-        state.momentum[name] = quantize_block(_lion_update(p, g, m, lr, weight_decay), state.block_size)
+        state.momentum[name] = quantize_block(_lion_update(p, g, m, lr, weight_decay))
 
 
 def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float, weight_decay: float = 0.0):

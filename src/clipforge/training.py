@@ -169,7 +169,10 @@ def run_id_of(config: RunConfig) -> str:
     text = config_to_text(config, skip=("dataset_dir", "output_dir", "init_from"))
     text += f"dataset_digest={manifest_digest(config.dataset_dir)}\n"
     if config.init_from:
-        digest = hashlib.sha256(Path(config.init_from).read_bytes()).hexdigest()
+        try:
+            digest = hashlib.sha256(Path(config.init_from).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"cannot read init_from {config.init_from}: {exc.strerror}") from exc
         text += f"init_from_digest={digest}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -344,6 +347,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
     if last_path.exists():
         model, saved_optimizer, state = M.read_checkpoint(last_path)
+        if model.metadata.get("run_id") != run_id:
+            raise ConfigError(f"cannot resume: {last_path} holds run {model.metadata.get('run_id')},"
+                              f" not {run_id}; use --force to start over")
         if model.config != model_config:
             raise ConfigError(
                 "cannot resume: checkpoint model config does not match the run config"

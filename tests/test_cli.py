@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clipforge import cli
+from clipforge import cli, errors
 from clipforge.data import MANIFEST_NAME, Vocabulary, load_dataset, load_split
 from clipforge.evaluation import METRIC_NAMES, read_report_jsonl
 
@@ -346,6 +346,27 @@ def test_report_rejects_mixed_datasets(run_dir, second_run_dir, tmp_path, capsys
     )[0] == 0
 
 
+def test_report_reads_a_moved_run_directory(dataset_dir, run_dir, second_run_dir, tmp_path, capsys):
+    original, moved = tmp_path / "run", tmp_path / "moved"
+    shutil.copytree(run_dir, original)
+    assert run(
+        capsys, "eval", "--checkpoint", str(original / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(original), "--split", "all",
+    )[0] == 0
+    shutil.copytree(original, moved)
+    shutil.rmtree(original)
+    code, _, err = run(
+        capsys, "report", "--runs", str(moved), str(second_run_dir), "--output", str(tmp_path / "r")
+    )
+    assert code == 0, err
+    row = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]
+    report = read_report_jsonl(moved / "report.jsonl")
+    assert report.metadata["split"] == "all"
+    assert [float(c) for c in row.split(",")[5:]] == [
+        getattr(report.average, name) for name in METRIC_NAMES
+    ]
+
+
 def test_report_needs_eval_first(dataset_dir, run_dir, tmp_path, capsys):
     bare = tmp_path / "bare"
     assert cli.main(train_args(dataset_dir, bare, "--epochs", "1")) == 0
@@ -367,6 +388,33 @@ def test_corrupt_entry_name_in_a_checkpoint_is_refused(run_dir, dataset_dir, tmp
     )
     assert code == 1 and err.startswith("E_CHECKPOINT_INTEGRITY: ")
     assert len(err.splitlines()) == 1
+
+
+def _refused_in_one_line(capsys, argv, code, path):
+    status, _, err = run(capsys, *argv)
+    assert status == 1 and err.startswith(f"{code}: ") and len(err.splitlines()) == 1
+    assert str(path) in err
+
+
+def test_eval_of_a_missing_checkpoint_is_refused(dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "gone.nclp"
+    argv = ["eval", "--checkpoint", str(missing), "--dataset", str(dataset_dir),
+            "--output", str(tmp_path / "e")]
+    _refused_in_one_line(capsys, argv, "E_CHECKPOINT_INTEGRITY", missing)
+
+
+def test_train_from_a_missing_init_checkpoint_is_refused(dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "gone.nclp"
+    argv = train_args(dataset_dir, tmp_path / "run", "--init-from", str(missing))
+    _refused_in_one_line(capsys, argv, "E_CONFIG", missing)
+
+
+def test_train_on_a_corpus_missing_a_pixel_file_is_refused(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    pixel = data / "pixels" / f"{load_split(data)[0][0]}.rgb"
+    pixel.unlink()
+    _refused_in_one_line(capsys, train_args(data, tmp_path / "run"), "E_DATASET_FORMAT", pixel)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +454,7 @@ def test_report_reads_the_report_eval_registered_over_a_torn_record_tail(
         str(dataset_dir), "--output", str(copy), "--split", "all",
     )[0] == 0
     entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert entries[-1] == {"record": "report", "path": str(copy / "report.jsonl")}
+    assert entries[-1] == {"record": "report", "path": "report.jsonl"}
     code, _, err = run(
         capsys, "report", "--runs", str(copy), str(run_dir), "--output", str(tmp_path / "r")
     )
@@ -422,6 +470,17 @@ def test_report_reads_the_report_eval_registered_over_a_torn_record_tail(
 # ---------------------------------------------------------------------------
 # shared error surface
 # ---------------------------------------------------------------------------
+
+def test_readme_names_exactly_the_error_codes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bE_[A-Z_]+\b", readme))
+    codes = {
+        cls.code for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.ClipforgeError)
+        and cls is not errors.ClipforgeError
+    }
+    assert named == codes
+
 
 def test_unknown_command_is_machine_parsable(capsys):
     code, _, err = run(capsys, "explode")

@@ -312,7 +312,7 @@ def test_loader_is_lazy_about_pixels(tmp_path):
     ds = load_dataset(tmp_path)  # pixel files do not exist; must not be touched
     assert len(ds) == 5000
     assert ds.records[0].pixels is None
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DatasetFormatError, match="pixels/img0.rgb"):
         ds.records[0].get_pixels()
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clipforge.tensor as T
@@ -224,6 +224,56 @@ def test_quantize_roundtrip_property(n, block, seed, scale):
     assert (err <= bound).all()
 
 
+def _reference_quantize(x, block_size):
+    """The padded-block codec the array-expression one must match bit for bit."""
+    arr = np.asarray(x, dtype=np.float32)
+    flat = arr.reshape(-1)
+    n_blocks = max(1, -(-flat.size // block_size))
+    padded = np.zeros(n_blocks * block_size, dtype=np.float32)
+    padded[: flat.size] = flat
+    blocks = padded.reshape(n_blocks, block_size)
+    absmax = np.abs(blocks).max(axis=1).astype(np.float32)
+    inv = np.zeros(n_blocks, dtype=np.float64)
+    nonzero = absmax > 0
+    inv[nonzero] = 127.0 / absmax[nonzero].astype(np.float64)
+    codes = np.clip(np.rint(blocks.astype(np.float64) * inv[:, None]), -127, 127).astype(np.int8)
+    return QuantizedBuffer(codes.reshape(-1)[: flat.size].copy(), absmax, block_size, arr.shape)
+
+
+def _reference_dequantize(buf):
+    n_blocks = buf.absmax.size
+    padded = np.zeros(n_blocks * buf.block_size, dtype=np.float32)
+    padded[: buf.codes.size] = buf.codes.astype(np.float32)
+    blocks = padded.reshape(n_blocks, buf.block_size)
+    values = blocks * buf.absmax[:, None] / np.float32(127.0)
+    return values.reshape(-1)[: buf.codes.size].reshape(buf.shape)
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(st.just(()), st.integers(min_value=0, max_value=700).map(lambda n: (n,))),
+    block=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    scale=st.floats(min_value=1e-20, max_value=1e6),
+    zero_blocks=st.integers(min_value=0, max_value=3),
+)
+# inputs where a float32 reciprocal (seed 73) or a float32 product (seed 418) moves a code
+@example(shape=(700,), block=7, seed=73, scale=1.0, zero_blocks=0)
+@example(shape=(700,), block=256, seed=418, scale=1.0, zero_blocks=0)
+def test_codec_matches_the_padded_reference_bitwise(shape, block, seed, scale, zero_blocks):
+    x = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(np.float32)
+    x.reshape(-1)[: zero_blocks * block] = 0.0  # whole all-zero blocks, or all of x
+    buf, ref = quantize_block(x, block), _reference_quantize(x, block)
+    assert _same_array(buf.codes, ref.codes)
+    assert _same_array(buf.absmax, ref.absmax)
+    assert (buf.block_size, buf.shape) == (ref.block_size, ref.shape)
+    assert _same_array(dequantize_block(buf), _reference_dequantize(ref))
+
+
 # ---------------------------------------------------------------------------
 # lion8
 # ---------------------------------------------------------------------------
@@ -240,7 +290,7 @@ def test_lion8_first_step_matches_lion():
 
 def test_lion8_state_memory_accounting():
     params = make_params({"w": RNG.normal(size=1000).astype(np.float32)})
-    state = OptimizerState(block_size=256)
+    state = OptimizerState()
     lion8_step(params, {"w": np.ones(1000, dtype=np.float32)}, state, 1e-3)
     buf = state.momentum["w"]
     assert isinstance(buf, QuantizedBuffer)
@@ -362,3 +412,10 @@ def test_stored_quantized_state_must_name_a_parameter():
     del params["w"]  # a quantized name missing from the params used to raise a bare KeyError
     with pytest.raises(CheckpointFormatError):
         state_from_arrays(meta, arrays, params)
+
+
+@pytest.mark.parametrize("block_size", [0, 200, 512])  # 200 tiles both parameters into as many blocks as 256
+def test_stored_state_with_another_block_size_is_refused(block_size):
+    meta, arrays, params = _stored_state(lion8_step, {"lr": 1e-3})
+    with pytest.raises(CheckpointFormatError, match="block_size"):
+        state_from_arrays({**meta, "block_size": block_size}, arrays, params)

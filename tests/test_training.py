@@ -489,6 +489,20 @@ def test_resume_refuses_a_run_of_another_dataset(tmp_path, monkeypatch, kill):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def test_resume_refuses_a_last_checkpoint_of_another_run(dataset_dir, tmp_path):
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for seed, out in enumerate(outs, start=1):
+        with pytest.raises(KeyboardInterrupt):  # stopped after epoch 0's checkpoints
+            run_training(tiny_config(dataset_dir, out, init_seed=seed), log=_interrupt)
+    shutil.copyfile(outs[0] / training.LAST_CHECKPOINT, outs[1] / training.LAST_CHECKPOINT)
+    before = {path.name: path.read_bytes() for path in outs[1].iterdir()}
+    with pytest.raises(ConfigError) as exc:
+        run_training(tiny_config(dataset_dir, outs[1], init_seed=2))
+    assert run_id_of(tiny_config(dataset_dir, outs[0], init_seed=1)) in str(exc.value)
+    assert "--force" in str(exc.value) and "\n" not in str(exc.value)
+    assert {path.name: path.read_bytes() for path in outs[1].iterdir()} == before
+
+
 def test_freeze_regimes_pin_parameters(dataset_dir, tmp_path):
     for regime, prefixes in (("text-encoder", ("image/",)), ("projection", ("image/", "text/"))):
         config = tiny_config(dataset_dir, tmp_path / regime, epochs=1, regime=regime)
