@@ -25,11 +25,11 @@ from .data import (
     aesthetic_filter,
     generate_synthetic_corpus,
     load_dataset,
-    load_split,
     manifest_digest,
     save_dataset,
     save_split,
     split,
+    split_records,
 )
 from .errors import ClipforgeError, ConfigError, EvaluationError
 from .training import (
@@ -151,9 +151,8 @@ def _parse_k(text: str) -> tuple:
 def _select_records(dataset, dataset_dir, which: str):
     if which == "all":
         return dataset.records
-    train_ids, val_ids = load_split(dataset_dir)
-    wanted = set(train_ids if which == "train" else val_ids)
-    return [r for r in dataset.records if r.id in wanted]
+    wanted = {r.id for r in split_records(dataset, dataset_dir)[which == "val"]}
+    return [r for r in dataset.records if r.id in wanted]  # in manifest order
 
 
 def cmd_eval(args) -> int:
@@ -200,10 +199,7 @@ def cmd_eval(args) -> int:
         checkpoint=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()[:12],
         dataset=dataset_id,
     )
-    # no trailing newline, unlike key_value_text: that would change every report hash
-    config_hash = hashlib.sha256(
-        "\n".join(f"{k}={v}" for k, v in sorted(identity.items())).encode("utf-8")
-    ).hexdigest()[:12]
+    config_hash = hashlib.sha256(key_value_text(identity).encode("utf-8")).hexdigest()[:12]
     metadata = {
         "config_hash": config_hash,
         "seed": str(model.metadata.get("seeds", "")),

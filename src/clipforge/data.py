@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError
+from .model import replace_file
 
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
@@ -319,7 +320,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         cells = [record.id, repr(float(record.aesthetic_score)), rel]
         cells += [record.captions[lang] for lang in dataset.languages]
         lines.append("\t".join(cells))
-    (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_file(root / MANIFEST_NAME, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_dataset(path) -> Dataset:
@@ -387,7 +388,7 @@ def load_dataset(path) -> Dataset:
 
 def save_split(dataset_path, train_ids, val_ids) -> None:
     lines = [f"{rid}\ttrain" for rid in train_ids] + [f"{rid}\tval" for rid in val_ids]
-    (Path(dataset_path) / SPLIT_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_file(Path(dataset_path) / SPLIT_NAME, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_split(dataset_path):
@@ -410,6 +411,19 @@ def load_split(dataset_path):
         else:
             raise DatasetFormatError(f"{path}:{lineno}: bad split label {label!r}")
     return train_ids, val_ids
+
+
+def split_records(dataset: Dataset, dataset_path):
+    """Train and validation records of the split file, in its order; a record
+    id the manifest lacks is refused."""
+    train_ids, val_ids = load_split(dataset_path)
+    by_id = {r.id: r for r in dataset.records}
+    missing = [i for i in (*train_ids, *val_ids) if i not in by_id]
+    if missing:
+        raise DatasetFormatError(
+            f"split references {len(missing)} unknown record ids (first: {missing[0]})"
+        )
+    return [by_id[i] for i in train_ids], [by_id[i] for i in val_ids]
 
 
 def manifest_digest(dataset_path) -> str:

@@ -22,15 +22,16 @@ from . import optim
 from . import tensor as T
 from .contrastive import clip_loss, similarity
 from .data import (
+    SPLIT_NAME,
     Vocabulary,
     load_dataset,
-    load_split,
     manifest_digest,
     pixel_batch,
     sample_epoch,
+    split_records,
     tokenize_batch,
 )
-from .errors import CheckpointFormatError, ConfigError, DatasetFormatError, TrainingError
+from .errors import CheckpointFormatError, ConfigError, TrainingError
 
 OPTIMIZERS = ("lion", "lion8", "adamw")
 REGIMES = tuple(r.value for r in M.FreezeRegime)
@@ -160,14 +161,16 @@ def config_to_text(config: RunConfig, skip=()) -> str:
 
 
 def run_id_of(config: RunConfig) -> str:
-    """Content-addressed run identity.
+    """Content-addressed run identity, the one identity of a run.
 
-    Paths are replaced by digests of what they point at, so the same
-    training run gets the same id no matter where its inputs and outputs
-    live on disk.
+    Paths are replaced by digests of what they point at (the manifest, the
+    split file and the ``init_from`` checkpoint), so the same training run
+    gets the same id no matter where its inputs and outputs live on disk.
     """
     text = config_to_text(config, skip=("dataset_dir", "output_dir", "init_from"))
     text += f"dataset_digest={manifest_digest(config.dataset_dir)}\n"
+    split_bytes = (Path(config.dataset_dir) / SPLIT_NAME).read_bytes()
+    text += f"split_digest={hashlib.sha256(split_bytes).hexdigest()}\n"
     if config.init_from:
         try:
             digest = hashlib.sha256(Path(config.init_from).read_bytes()).hexdigest()
@@ -286,9 +289,10 @@ class RunResult:
 def run_training(config: RunConfig, log=None) -> RunResult:
     """Execute (or resume) one training run and return its summary.
 
-    The output directory accumulates: the effective config, a line-delimited
-    run record, the latest checkpoint with its optimizer state in the same
-    file, and the best checkpoint by validation loss.
+    The output directory accumulates: a line-delimited run record, the latest
+    checkpoint with its optimizer state in the same file, and the best
+    checkpoint by validation loss.  The effective config is written on every
+    call and never read back: the run id alone decides what may resume here.
     """
     if not config.dataset_dir or not config.output_dir:
         raise ConfigError("training needs both dataset_dir and output_dir")
@@ -298,15 +302,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     dataset = load_dataset(config.dataset_dir)
-    train_ids, val_ids = load_split(config.dataset_dir)
-    by_id = {r.id: r for r in dataset.records}
-    missing = [i for i in (*train_ids, *val_ids) if i not in by_id]
-    if missing:
-        raise DatasetFormatError(
-            f"split references {len(missing)} unknown record ids (first: {missing[0]})"
-        )
-    train_records = [by_id[i] for i in train_ids]
-    val_records = [by_id[i] for i in val_ids]
+    train_records, val_records = split_records(dataset, config.dataset_dir)
     if len(train_records) < 2 or len(val_records) < 2:
         raise TrainingError(
             f"need at least 2 train and 2 validation records, got"
@@ -327,29 +323,20 @@ def run_training(config: RunConfig, log=None) -> RunResult:
 
     run_id = run_id_of(config)
     record = read_record(out)
-    effective = config_to_text(config)
-    config_path = out / EFFECTIVE_CONFIG
-    if config_path.exists():
-        if config_path.read_text(encoding="utf-8") != effective:
-            raise ConfigError(
-                f"output dir {out} belongs to a different run configuration;"
-                " use --force to start over"
-            )
-    else:
-        M.replace_file(config_path, [effective.encode("utf-8")])
-    recorded = next((e["run_id"] for e in record if e.get("record") == "run"), run_id)
-    if recorded != run_id:
-        raise ConfigError(
-            f"output dir {out} holds run {recorded}, not {run_id} (the dataset or init"
-            " checkpoint changed); use --force to start over"
-        )
-
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
-    if last_path.exists():
-        model, saved_optimizer, state = M.read_checkpoint(last_path)
-        if model.metadata.get("run_id") != run_id:
-            raise ConfigError(f"cannot resume: {last_path} holds run {model.metadata.get('run_id')},"
-                              f" not {run_id}; use --force to start over")
+    saved = M.read_checkpoint(last_path) if last_path.exists() else None
+    # every run id the directory holds must be this run's: one check, before any write
+    held = [(out / RECORD_FILE, e["run_id"]) for e in record if "run_id" in e]
+    held += [(last_path, saved[0].metadata.get("run_id"))] if saved else []
+    for path, held_id in held:
+        if held_id != run_id:
+            raise ConfigError(
+                f"{path} holds run {held_id}, not {run_id} (the config, dataset, split or"
+                " init checkpoint changed); use --force to start over"
+            )
+
+    if saved:
+        model, saved_optimizer, state = saved
         if model.config != model_config:
             raise ConfigError(
                 "cannot resume: checkpoint model config does not match the run config"
@@ -393,6 +380,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     if epochs != list(range(next_epoch)):
         raise ConfigError(f"{out / RECORD_FILE} holds epochs {epochs}, but {LAST_CHECKPOINT}"
                           f" resumes at epoch {next_epoch}; use --force to start over")
+    M.replace_file(out / EFFECTIVE_CONFIG, [config_to_text(config).encode("utf-8")])
     write_record(out, record)
 
     M.apply_freeze(model, M.FreezeRegime(config.regime))
@@ -403,7 +391,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     frozen_images = not any(name.startswith("image/") for name in trainable)
     image_cache = {} if frozen_images else None
 
-    total_steps = config.epochs * sum(1 for _ in _iter_batches(train_ids, config.batch_size))
+    total_steps = config.epochs * sum(1 for _ in _iter_batches(train_records, config.batch_size))
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
 
     stats = []
@@ -413,8 +401,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         choices = sample_epoch(train_records, epoch, config.sampler_seed, languages)
         rng = np.random.default_rng([config.data_seed, epoch])
         epoch_total, epoch_count, last_lr = 0.0, 0, 0.0
-        for batch_ids in _iter_batches(train_ids, config.batch_size, rng):
-            batch = [by_id[i] for i in batch_ids]
+        for batch in _iter_batches(train_records, config.batch_size, rng):
             loss = batch_loss(model, batch, choices, vocab, image_cache=image_cache)
             value = float(loss.data)
             if not np.isfinite(value):

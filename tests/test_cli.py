@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from clipforge import cli, errors
-from clipforge.data import MANIFEST_NAME, Vocabulary, load_dataset, load_split
+from clipforge.data import MANIFEST_NAME, SPLIT_NAME, Vocabulary, load_dataset, load_split
 from clipforge.evaluation import METRIC_NAMES, read_report_jsonl
 
 
@@ -415,6 +415,22 @@ def test_train_on_a_corpus_missing_a_pixel_file_is_refused(dataset_dir, tmp_path
     pixel = data / "pixels" / f"{load_split(data)[0][0]}.rgb"
     pixel.unlink()
     _refused_in_one_line(capsys, train_args(data, tmp_path / "run"), "E_DATASET_FORMAT", pixel)
+
+
+def test_a_split_naming_an_unknown_record_is_refused_by_eval_and_train(run_dir, dataset_dir, tmp_path, capsys):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    with open(data / SPLIT_NAME, "a", encoding="utf-8") as fh:
+        fh.write("ghost01\tval\n")
+    out = tmp_path / "e"
+    for argv in (
+        ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
+         "--output", str(out), "--split", "val"],
+        train_args(data, tmp_path / "run"),
+    ):
+        status, _, err = run(capsys, *argv)
+        assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
+        assert "1 unknown record ids (first: ghost01)" in err
+    assert not out.exists()  # eval refused before writing any output
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_fold_two_sides_of_hand_made_runs(tmp_path):
     step = workload["reported"]["step_ms_p50"]
     assert step["parent"]["values"] == [64.0, 6400 / 120, 6400 / 90, 6400 / 110]
     assert step["better"] == "lower" and "bound" not in step and step["change_won"] == 2
-    assert workload["records_equal_pairs"] == 3
+    assert workload["records_equal_pairs"] == {"loss_digest": 3}
     # per-layer metrics of the traced runs, where both sides measured them
     assert workload["traced"] == {"3": {"tensor.calls.add": {"unit": "count", "parent": 90, "change": 66}}}
 
@@ -84,3 +84,20 @@ def test_fold_counts_failed_runs_and_refuses_an_empty_side(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(SystemExit):
         fold_bench.read_side(tmp_path / "empty")
+
+
+def test_equal_pairs_are_counted_per_digest(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    for seed in (1, 2):
+        write_result(parent, seed, 100, 100.0)
+        write_result(change, seed, 100, 100.0)
+    for side, checkpoint in ((parent, "c0"), (change, "c1")):  # the checkpoints differ, the losses agree
+        for path in side.iterdir():
+            result = json.loads(path.read_text())
+            result["records"]["checkpoint_sha256"] = checkpoint
+            path.write_text(json.dumps(result))
+    bench = fold_bench.fold(parent, change, json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text()))
+    assert bench["workloads"]["adapt_frozen_lion8"]["records_equal_pairs"] == {
+        "checkpoint_sha256": 0,
+        "loss_digest": 2,
+    }

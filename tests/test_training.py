@@ -9,6 +9,8 @@ from clipforge import model as M
 from clipforge import tensor as T
 from clipforge import training
 from clipforge.data import (
+    MANIFEST_NAME,
+    SPLIT_NAME,
     Vocabulary,
     aesthetic_filter,
     generate_synthetic_corpus,
@@ -35,6 +37,14 @@ def make_dataset(path, images=60, languages=2, seed=3, image_size=16):
     kept = aesthetic_filter(ds.records)
     train_records, val_records = split(kept, 0.2, seed=seed)
     save_dataset(ds, path)
+    save_split(path, [r.id for r in train_records], [r.id for r in val_records])
+    return path
+
+
+def resplit(path, val_fraction, seed=3):
+    """Write another split of the corpus at ``path``; its manifest stays as it is."""
+    kept = aesthetic_filter(load_dataset(path).records)
+    train_records, val_records = split(kept, val_fraction, seed=seed)
     save_split(path, [r.id for r in train_records], [r.id for r in val_records])
     return path
 
@@ -151,6 +161,13 @@ def test_run_id_ignores_paths(dataset_dir, tmp_path):
     assert run_id_of(a) == run_id_of(b)
     c = tiny_config(dataset_dir, tmp_path / "a", lr=2e-3)
     assert run_id_of(c) != run_id_of(a)
+
+
+def test_run_id_covers_the_split(dataset_dir, tmp_path):
+    other = resplit(shutil.copytree(dataset_dir, tmp_path / "other"), 0.5)
+    assert (other / MANIFEST_NAME).read_bytes() == (dataset_dir / MANIFEST_NAME).read_bytes()
+    assert (other / SPLIT_NAME).read_bytes() != (dataset_dir / SPLIT_NAME).read_bytes()
+    assert run_id_of(tiny_config(other, tmp_path / "a")) != run_id_of(tiny_config(dataset_dir, tmp_path / "a"))
 
 
 def test_scheduled_lr_never_zero():
@@ -487,6 +504,51 @@ def test_resume_refuses_a_run_of_another_dataset(tmp_path, monkeypatch, kill):
     assert exc.value.code == "E_CONFIG"
     assert "--force" in str(exc.value) and "\n" not in str(exc.value)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("kill", ["after-first-checkpoint", "before-any-checkpoint"])
+def test_resume_refuses_a_changed_split(tmp_path, monkeypatch, kill):
+    # the same corpus split again at the same path: only splits.tsv changes
+    data, out = make_dataset(tmp_path / "ds"), tmp_path / "run"
+    config = tiny_config(data, out)
+    log = None
+    if kill == "after-first-checkpoint":
+        log = _interrupt  # the first log line follows epoch 0's last.nclp
+    else:
+        monkeypatch.setattr(training, "batch_loss", _interrupt)  # the run line is written
+    with pytest.raises(KeyboardInterrupt):
+        run_training(config, log=log)
+    monkeypatch.undo()
+    assert (out / training.LAST_CHECKPOINT).exists() == (kill == "after-first-checkpoint")
+    manifest = (data / MANIFEST_NAME).read_bytes()
+    resplit(data, 0.5)
+    assert (data / MANIFEST_NAME).read_bytes() == manifest
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    with pytest.raises(ConfigError) as exc:
+        run_training(config)
+    assert exc.value.code == "E_CONFIG"
+    assert "--force" in str(exc.value) and "\n" not in str(exc.value)
+    assert run_id_of(config.resolved()) in str(exc.value)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("moved", ["output", "dataset"])
+def test_a_moved_directory_resumes_bitwise(dataset_dir, tmp_path, three_epoch_run, moved):
+    straight, _ = three_epoch_run
+    data, out = shutil.copytree(dataset_dir, tmp_path / "ds"), tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):  # stopped after epoch 0's checkpoints
+        run_training(tiny_config(data, out, epochs=3), log=_interrupt)
+    if moved == "output":
+        out = shutil.move(out, tmp_path / "moved")
+    else:
+        data = shutil.move(data, tmp_path / "moved")
+    config = tiny_config(data, out, epochs=3)
+    run_training(config)
+    for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
+        assert (Path(out) / name).read_bytes() == (straight / name).read_bytes()
+    effective = (Path(out) / training.EFFECTIVE_CONFIG).read_text(encoding="utf-8")
+    assert effective == config_to_text(config.resolved())
+    assert f"={tmp_path / 'moved'}\n" in effective
 
 
 def test_resume_refuses_a_last_checkpoint_of_another_run(dataset_dir, tmp_path):

@@ -12,8 +12,8 @@ metric that ``BENCHMARK.json`` lists, the output gives each side's median,
 quartiles and values, the paired seeds and the pairs the change won (ties
 count for neither side), plus ``fail_ratio`` per side.  The step time
 ``step_ms_p50`` is folded the same way under ``reported``, without a bound,
-and ``records_equal_pairs`` counts the pairs whose ``records`` digests
-(checkpoint, loss, report) are equal on both sides.  Where both sides also
+and ``records_equal_pairs`` counts, per ``records`` digest (checkpoint, loss,
+report), the pairs whose two runs hold the same value of it.  Where both sides also
 hold a ``--trace 1`` result of a workload at one seed, ``traced`` gives
 every per-layer metric both measured, side by side.  It also records each
 side's environment line (cores, BLAS, python, numpy, ``src/`` non-blank
@@ -81,6 +81,13 @@ def _paired(values, lower: bool) -> dict:
     }
 
 
+def _equal_pairs(sides) -> dict:
+    """{digest name: pairs whose two runs hold the same value of that ``records`` digest}"""
+    names = sorted({name for runs in sides.values() for r in runs for name in r.get("records", {})})
+    pairs = [(p.get("records", {}), c.get("records", {})) for p, c in zip(sides["parent"], sides["change"])]
+    return {name: sum(name in p and p[name] == c.get(name) for p, c in pairs) for name in names}
+
+
 def fold(parent_dir, change_dir, spec: dict) -> dict:
     parent, change = read_side(parent_dir), read_side(change_dir)
     traced = {"parent": read_side(parent_dir, 1), "change": read_side(change_dir, 1)}
@@ -96,10 +103,7 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
                 side: sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
                 for side, runs in sides.items()
             },
-            "records_equal_pairs": sum(
-                bool(p.get("records")) and p["records"] == c.get("records")
-                for p, c in zip(sides["parent"], sides["change"])
-            ),
+            "records_equal_pairs": _equal_pairs(sides),
             "metrics": {},
             "reported": {},
             "traced": {},
