@@ -101,3 +101,34 @@ def test_equal_pairs_are_counted_per_digest(tmp_path):
         "checkpoint_sha256": 0,
         "loss_digest": 2,
     }
+
+
+PARENT_RATES = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartile spread 4.5
+
+
+@pytest.mark.parametrize(
+    "parent_rates, change_rates, expected",
+    [
+        (PARENT_RATES, [r + 10 for r in PARENT_RATES], "gain"),
+        # won 8 of 10: a wide gap alone is no gain
+        (PARENT_RATES, [r + 10 for r in PARENT_RATES[:8]] + PARENT_RATES[8:], "within_bound"),
+        # won 10 of 10, but the gap of 3 is inside the parent's spread of 4.5
+        (PARENT_RATES, [r + 3 for r in PARENT_RATES], "within_bound"),
+        (PARENT_RATES, [0.7 * r for r in PARENT_RATES], "regression"),
+        # the parent spreads wider than the 0.25 bound: no verdict either way
+        ([50, 60, 70, 80, 100, 110, 130, 140, 150, 160], [95] * 10, "unresolved"),
+        # ... unless every change run beats every parent run (the gap of 2 is no gain)
+        ([50, 50, 50, 100, 100, 100, 100, 100, 100, 101], [102] * 10, "within_bound"),
+        (PARENT_RATES, PARENT_RATES, "within_bound"),
+    ],
+    ids=["gain", "8-of-10", "gap-inside-spread", "regression", "unresolved", "every-run-better", "ties"],
+)
+def test_each_metric_gets_a_verdict(tmp_path, parent_rates, change_rates, expected):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    for seed, (p_rate, c_rate) in enumerate(zip(parent_rates, change_rates), start=1):
+        write_result(parent, seed, p_rate, 100.0)
+        write_result(change, seed, c_rate, 100.0)
+    bench = fold_bench.fold(parent, change, json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text()))
+    metrics = bench["workloads"]["adapt_frozen_lion8"]["metrics"]
+    assert metrics["throughput_per_s"]["verdict"] == expected
+    assert metrics["peak_rss_mb"]["verdict"] == "within_bound"  # equal on every run

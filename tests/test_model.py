@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import clipforge.model as M
 import clipforge.tensor as T
 from clipforge import optim
 from clipforge.contrastive import clip_loss, similarity
@@ -125,10 +127,12 @@ def test_encode_image_deterministic_rows():
 
 def test_encode_image_wrong_size_rejected():
     model = DualEncoderModel(micro_config(), init_seed=1)
-    with pytest.raises(DimensionError):
-        encode_image(model, np.zeros((2, 3, 8, 10), dtype=np.uint8))
-    with pytest.raises(DimensionError):
-        encode_image(model, np.zeros((2, 1, 8, 8), dtype=np.uint8))
+    for function in (encode_image, image_features):
+        # the message names the function that was called
+        with pytest.raises(DimensionError, match=f"^{function.__name__}: expected 8x8 images"):
+            function(model, np.zeros((2, 3, 8, 10), dtype=np.uint8))
+        with pytest.raises(DimensionError, match=rf"^{function.__name__}: expected \[batch, 3, H, W\]"):
+            function(model, np.zeros((2, 1, 8, 8), dtype=np.uint8))
 
 
 def test_encode_text_shape_unit_norm_and_duplicates():
@@ -268,6 +272,103 @@ def test_pooled_image_features_do_not_depend_on_the_batch():
     assert np.array_equal(pooled(1, natural), reference)
     assert np.array_equal(pooled(7, natural), reference)
     assert np.array_equal(pooled(64, rng.permutation(len(images))), reference)
+    # 32 images fill one block of the graph-free tower: sizes on both sides of it
+    for batch_size in (31, 32, 33, 65):
+        assert np.array_equal(pooled(batch_size, natural), reference), batch_size
+
+
+def _frozen_text_tower():
+    """An l-b model for captions up to 16 tokens in the projection regime (text
+    tower frozen, ``proj/text`` trainable) with trained-looking text position
+    embeddings, and a generator."""
+    cfg = ModelConfig.from_presets("l-b", vocab_size=40, max_text_len=16)
+    model = DualEncoderModel(cfg, init_seed=3)
+    apply_freeze(model, FreezeRegime.PROJECTION_ONLY)
+    rng = np.random.default_rng(11)
+    model.params["text/pos_embed"].data = rng.normal(0, 0.5, (16, cfg.text_dim)).astype(np.float32)
+    return model, rng
+
+
+def test_text_rows_do_not_depend_on_the_batch():
+    # Rows are bitwise equal at one padded width.  A batch is trimmed to its
+    # longest caption, and at another width the attention runs over another
+    # number of columns, so every call below also holds an anchor caption of
+    # the full width; the shorter rows go through the key mask.
+    model, rng = _frozen_text_tower()
+    n = 256
+    lengths = np.append(rng.integers(2, 16, n), 16)
+    tokens = rng.integers(0, 40, (n + 1, 16))
+    anchor = np.array([n])
+
+    def rows(batch_size, order):
+        out = np.empty((n, model.config.embed_dim), dtype=np.float32)
+        for start in range(0, n, batch_size):
+            chunk = np.concatenate((anchor, order[start : start + batch_size]))
+            out[chunk[1:]] = encode_text(model, tokens[chunk], lengths[chunk]).data[1:]
+        return out
+
+    natural = np.arange(n)
+    reference = encode_text(model, tokens, lengths).data[:n]
+    for batch_size in (1, 7, 73, 74, 256):
+        assert np.array_equal(rows(batch_size, natural), reference), batch_size
+    assert np.array_equal(rows(73, rng.permutation(n)), reference)
+
+
+def test_blocked_text_tower_gives_the_projection_the_same_gradient(monkeypatch):
+    model, rng = _frozen_text_tower()
+    lengths = rng.integers(2, 17, 100)
+    tokens = rng.integers(0, 40, (100, 16))
+    weights = T.Tensor(rng.normal(size=(100, model.config.embed_dim)).astype(np.float32))
+    attention = T.attention
+    calls = []
+
+    def counting_attention(*args):
+        calls.append(1)
+        return attention(*args)
+
+    monkeypatch.setattr(T, "attention", counting_attention)
+    runs = []
+    for row_block in (M.ROW_BLOCK, 100 * 16):  # 100 captions of width 16: 4 blocks, then 1
+        monkeypatch.setattr(M, "ROW_BLOCK", row_block)
+        calls.clear()
+        model.zero_grad()
+        out = encode_text(model, tokens, lengths)
+        T.backward(T.sum_(T.mul(out, weights)))
+        runs.append((len(calls), out.data, model.params["proj/text"].grad))
+    (blocked_calls, blocked_out, blocked_grad), (whole_calls, whole_out, whole_grad) = runs
+    layers = model.config.text_layers
+    assert (blocked_calls, whole_calls) == (4 * layers, layers)
+    assert np.array_equal(blocked_out, whole_out)
+    assert np.array_equal(blocked_grad, whole_grad)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates beyond what is live before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_free_forwards_hold_no_batch_wide_temporaries():
+    # the towers run over blocks of ROW_BLOCK token rows, so the peak stays
+    # below one batch-wide MLP hidden array (rows x 4 * width float32)
+    cfg = ModelConfig.from_presets("l-b", vocab_size=40, max_text_len=16)
+    model = DualEncoderModel(cfg, init_seed=3)
+    for p in model.params.values():
+        p.requires_grad = False
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(256, 3, 32, 32), dtype=np.uint8)
+    tokens = rng.integers(0, 40, (256, 16))
+    lengths = rng.integers(2, 17, 256)
+    image_peak = _traced_peak(lambda: encode_image(model, images))
+    assert image_peak < 256 * cfg.num_patches * 4 * cfg.image_dim * 4
+    text_peak = _traced_peak(lambda: encode_text(model, tokens, lengths))
+    assert text_peak < 256 * 16 * 4 * cfg.text_dim * 4
 
 
 # ---------------------------------------------------------------------------

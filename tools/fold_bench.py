@@ -9,8 +9,9 @@ Each directory holds the ``result-<workload>-seed<N>-trace0.json`` files that
 ``perfbench/run.py --trace 0`` wrote for one side.  A seed run on both sides
 is a pair, and only pairs count.  For every workload and every end-to-end
 metric that ``BENCHMARK.json`` lists, the output gives each side's median,
-quartiles and values, the paired seeds and the pairs the change won (ties
-count for neither side), plus ``fail_ratio`` per side.  The step time
+quartiles and values, the paired seeds, the pairs the change won (ties
+count for neither side) and a ``verdict`` (see ``verdict``), plus
+``fail_ratio`` per side.  The step time
 ``step_ms_p50`` is folded the same way under ``reported``, without a bound,
 and ``records_equal_pairs`` counts, per ``records`` digest (checkpoint, loss,
 report), the pairs whose two runs hold the same value of it.  Where both sides also
@@ -81,6 +82,32 @@ def _paired(values, lower: bool) -> dict:
     }
 
 
+def verdict(paired: dict, bound: float, lower: bool) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``within_bound`` for one
+    metric's ``_paired`` summary, ``bound`` being the share of the parent's
+    median by which the metric may worsen.
+
+    A gain needs at least ten pairs, nine tenths of them won, and a median
+    gap wider than the parent's quartile spread.  A metric whose parent
+    quartile spread is wider than the bound is unresolved, unless every
+    change run reads better than every parent run.
+    """
+    parent, change = paired["parent"], paired["change"]
+    sign = 1 if lower else -1
+    gap = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    spread = parent["q3"] - parent["q1"]
+    scale = abs(parent["median"])
+    if paired["pairs"] >= 10 and paired["change_won"] >= 0.9 * paired["pairs"] and gap > spread:
+        return "gain"
+    if -gap > bound * scale:
+        return "regression"
+    best_parent = min(parent["values"]) if lower else max(parent["values"])
+    all_better = all(sign * (best_parent - v) > 0 for v in change["values"])
+    if spread > bound * scale and not all_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def _equal_pairs(sides) -> dict:
     """{digest name: pairs whose two runs hold the same value of that ``records`` digest}"""
     names = sorted({name for runs in sides.values() for r in runs for name in r.get("records", {})})
@@ -109,11 +136,14 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
             "traced": {},
         }
         for metric in spec["end_to_end"]:
+            lower = metric["better"] == "lower"
+            paired = _paired(_values(sides, metric["name"]), lower)
             entry["metrics"][metric["name"]] = dict(
-                _paired(_values(sides, metric["name"]), metric["better"] == "lower"),
+                paired,
                 unit=metric["unit"],
                 better=metric["better"],
                 bound=metric["bound"],
+                verdict=verdict(paired, metric["bound"], lower),
             )
         for name, (unit, better) in REPORTED.items():
             if all(name in r["measured"] for runs in sides.values() for r in runs):
