@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# elements per gelu block: the forward's three slices and one scratch block, and
-# the backward's four slices and two scratch blocks, stay in a core's L2 across
+# elements per gelu block: the forward's two slices and one scratch block, and
+# the backward's three slices and two scratch blocks, stay in a core's L2 across
 # their passes instead of streaming from memory
 _GELU_BLOCK = 1 << 15
 
@@ -35,10 +35,12 @@ _GELU_BLOCK = 1 << 15
 class Tensor:
     """A dense n-dimensional array with an optional gradient.
 
-    Leaf tensors are created directly from data; op results carry a
-    backward rule and references to their parent tensors, forming an
+    Leaf tensors (op "leaf") are created directly from data; op results
+    carry a backward rule and references to their parent tensors, forming an
     implicit computation graph rooted at the final output. Only leaves
-    keep a ``.grad`` after backward(); op results never get one.
+    keep a ``.grad`` after backward(); op results never get one. backward()
+    consumes the graph: an op result it has passed keeps its data but no
+    rule and no parents, and a second walk over it is refused.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
@@ -244,47 +246,54 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal.
 
     Forward and backward run block by block over the flattened array; every
-    element still sees the same operations in the same order."""
+    element still sees the same operations in the same order. The node keeps
+    only its input: the backward recomputes each block's tanh."""
     x = a.data
-    t, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
-    xf, tf, of = x.reshape(-1), t.reshape(-1), out.reshape(-1)
+    out = np.empty(x.shape, x.dtype)
+    xf, of = x.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
-        xs, ts, ys = xf[i : i + _GELU_BLOCK], tf[i : i + _GELU_BLOCK], of[i : i + _GELU_BLOCK]
-        np.multiply(xs, 0.044715, out=ts)
-        ts *= xs
-        ts *= xs
-        ts += xs
-        ts *= _GELU_C
-        np.tanh(ts, out=ts)
+        xs, ys = xf[i : i + _GELU_BLOCK], of[i : i + _GELU_BLOCK]
+        ts = _gelu_tanh(xs, scratch[: xs.size])
         np.multiply(xs, 0.5, out=ys)
-        one = np.add(ts, 1.0, out=scratch[: xs.size])
-        ys *= one
+        ts += 1.0
+        ys *= ts
 
     def bwd(g):
         # block by block like the forward: one output array, two scratch blocks
         gx = np.empty(x.shape, x.dtype)
-        gf, df = g.reshape(-1), gx.reshape(-1)
-        dinner, slope = np.empty((2, min(xf.size, _GELU_BLOCK)), x.dtype)
+        xf, gf, df = a.data.reshape(-1), g.reshape(-1), gx.reshape(-1)
+        tanh, slope = np.empty((2, min(xf.size, _GELU_BLOCK)), x.dtype)
         for i in range(0, xf.size, _GELU_BLOCK):
-            xs, ts, local = xf[i : i + _GELU_BLOCK], tf[i : i + _GELU_BLOCK], df[i : i + _GELU_BLOCK]
-            di, sl = dinner[: xs.size], slope[: xs.size]
-            np.multiply(xs, 3 * 0.044715, out=di)
-            di *= xs
-            di += 1.0
-            di *= _GELU_C
+            xs, local = xf[i : i + _GELU_BLOCK], df[i : i + _GELU_BLOCK]
+            ts, sl = _gelu_tanh(xs, tanh[: xs.size]), slope[: xs.size]
             np.multiply(ts, ts, out=local)
             np.subtract(1.0, local, out=local)
             np.multiply(xs, 0.5, out=sl)
             sl *= local
+            ts += 1.0  # t is read for the last time: 0.5 * (1 + t) in its own block
+            ts *= 0.5
+            di = local  # the derivative of the tanh argument, in the block now free
+            np.multiply(xs, 3 * 0.044715, out=di)
+            di *= xs
+            di += 1.0
+            di *= _GELU_C
             sl *= di
-            np.add(ts, 1.0, out=local)
-            local *= 0.5
-            local += sl
+            np.add(ts, sl, out=local)
             local *= gf[i : i + _GELU_BLOCK]
         return (gx,)
 
     return _result(out, (a,), bwd, "gelu")
+
+
+def _gelu_tanh(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + 0.044715 * x^3)) into out, in the textbook formula's order."""
+    np.multiply(xs, 0.044715, out=out)
+    out *= xs
+    out *= xs
+    out += xs
+    out *= _GELU_C
+    return np.tanh(out, out=out)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -360,8 +369,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {d}"
         )
-    # two buffers, in the textbook formulas' operation order: bitwise equal
-    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
+    # two buffers, in the textbook formulas' operation order: bitwise equal.
+    # The node keeps the row statistics mu and inv, not xhat: the backward
+    # rebuilds xhat with the same two operations
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x.data, mu)
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
     xhat *= inv
@@ -370,15 +382,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+        xhat = np.subtract(x.data, mu)
+        xhat *= inv
         t = np.multiply(g, xhat)
         dgain = t.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
         dx = np.multiply(g, gain.data)
         np.multiply(dx, xhat, out=t)
-        m2 = t.mean(axis=-1, keepdims=True)
-        np.multiply(xhat, m2, out=t)
+        xhat *= t.mean(axis=-1, keepdims=True)
+        del t
         dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= t
+        dx -= xhat
         dx *= inv
         return dx, dgain, dbias
 
@@ -527,25 +541,34 @@ def topo_order(root: Tensor) -> list:
 
 def backward(root: Tensor) -> None:
     """Add d(root)/d(leaf) to the .grad of every requires_grad leaf reachable
-    from a scalar root; a leaf is a tensor with no backward rule. Op results
-    get no .grad: their gradients live only until their own rule has run.
-    Fan-out contributions are summed into new arrays, never in place, since a
-    rule may hand one array to several parents. Across repeated calls leaf
-    gradients accumulate (reset .grad to None between steps). A rule may
-    return None for a parent that does not require a gradient."""
+    from a scalar root; a leaf is a tensor built from data (op "leaf"). Op
+    results get no .grad: their gradients live only until their own rule has
+    run. Fan-out contributions are summed into new arrays, never in place,
+    since a rule may hand one array to several parents. A rule may return None
+    for a parent that does not require a gradient.
+
+    The walk consumes the graph: once a node's rule has run, the node drops
+    its rule and its parents, so the arrays the rule kept and each
+    intermediate result are freed as soon as the walk has passed them, and
+    only the root is left. A graph holding a consumed node is refused with
+    GraphError; build it again for another walk. Leaf gradients accumulate
+    across separate graphs (reset .grad to None between steps)."""
     if root.size != 1:
         raise GraphError(f"backward: root must be a scalar, got shape {root.shape}")
     order = topo_order(root)
+    if any(n.requires_grad and n.op != "leaf" and n._backward is None for n in order):
+        raise GraphError("backward: this graph was already used by backward(); build it again")
     grads: dict = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
+        if g is None or not node.requires_grad:
             continue
-        if node._backward is None:
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+        if node.op == "leaf":
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if parent.requires_grad:
                 key = id(parent)
                 grads[key] = grads[key] + pg if key in grads else pg
+        node._backward, node._parents = None, ()

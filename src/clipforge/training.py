@@ -410,7 +410,6 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 )
             model.zero_grad()
             loss.backward()
-            del loss  # free this step's graph before the next batch's forward builds its own
             grads = {name: p.grad for name, p in trainable.items()}
             last_lr = _scheduled_lr(state.step_count, total_steps, config.lr, config.warmup_steps)
             step_fn(trainable, grads, state, last_lr, config.weight_decay)

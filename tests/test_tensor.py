@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +567,64 @@ def test_result_without_gradient_keeps_no_parents():
     assert T.add(frozen, b)._parents == (frozen, b)
     # the float64 dtype of a result with no gradient is kept
     assert T.scale(T.Tensor(np.ones(2), dtype=np.float64), 2.0).dtype == np.float64
+
+
+def test_backward_frees_intermediate_results_while_the_root_lives():
+    x = T.Tensor(RNG.uniform(-1, 1, (4, 8)), requires_grad=True)
+    hidden = T.gelu(T.mul(x, x))
+    alive = weakref.ref(hidden.data)
+    root = T.sum_(T.layer_norm(hidden, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8))))
+    del hidden
+    assert alive() is not None  # the graph holds it until the walk has passed it
+    root.backward()
+    assert alive() is None
+    assert root._parents == () and root._backward is None and x.grad is not None
+
+
+def test_backward_refuses_a_consumed_graph():
+    x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    z = T.mul(x, x)
+    root = T.sum_(z)
+    root.backward()
+    first = x.grad.copy()
+    with pytest.raises(GraphError, match="already used by backward"):
+        root.backward()
+    with pytest.raises(GraphError, match="already used by backward"):
+        T.sum_(T.add(z, x)).backward()  # a new root over a consumed node
+    np.testing.assert_array_equal(x.grad, first)  # neither refused walk touched a gradient
+    T.sum_(T.mul(x, x)).backward()  # a new graph over the same leaf accumulates
+    np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+def _bytes_kept_by(build):
+    """Bytes still allocated after build() returns, with the result alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+def test_gelu_node_keeps_only_its_input_and_output(transposed):
+    x = RNG.standard_normal((256, 1024)).astype(np.float32)
+    a = T.Tensor(x.T if transposed else x, requires_grad=True)
+    out, kept = _bytes_kept_by(lambda: T.gelu(a))
+    extra = kept - out.data.nbytes
+    assert extra < 4096, f"gelu node keeps {extra} B beyond its input and output"
+
+
+def test_layer_norm_node_keeps_only_row_statistics_beyond_input_and_output():
+    rows, d = 4096, 64
+    x = T.Tensor(RNG.standard_normal((64, rows // 64, d)), requires_grad=True)
+    gain = T.Tensor(RNG.uniform(0.5, 1.5, d), requires_grad=True)
+    bias = T.Tensor(RNG.uniform(-0.5, 0.5, d), requires_grad=True)
+    out, kept = _bytes_kept_by(lambda: T.layer_norm(x, gain, bias))
+    extra = kept - out.data.nbytes
+    stats = 2 * rows * x.data.itemsize  # mean and inverse std, one each per row
+    assert extra < stats + 4096, f"layer_norm node keeps {extra} B beyond its input and output"
 
 
 def test_backward_nonscalar_root_rejected():
