@@ -23,6 +23,7 @@ from .data import (
     Dataset,
     Vocabulary,
     aesthetic_filter,
+    file_sha256,
     generate_synthetic_corpus,
     load_dataset,
     manifest_digest,
@@ -196,7 +197,7 @@ def cmd_eval(args) -> int:
     # directories produce byte-identical reports
     identity = dict(
         effective,
-        checkpoint=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()[:12],
+        checkpoint=file_sha256(args.checkpoint)[:12],
         dataset=dataset_id,
     )
     config_hash = hashlib.sha256(key_value_text(identity).encode("utf-8")).hexdigest()[:12]

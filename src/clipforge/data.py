@@ -22,6 +22,7 @@ from .model import replace_file
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
 PIXEL_DIR = "pixels"
+HASH_BLOCK = 1 << 16  # bytes file_sha256 reads at a time
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -426,7 +427,16 @@ def split_records(dataset: Dataset, dataset_path):
     return [by_id[i] for i in train_ids], [by_id[i] for i in val_ids]
 
 
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes, read in ``HASH_BLOCK`` pieces, so that
+    hashing a checkpoint holds one block instead of the whole file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def manifest_digest(dataset_path) -> str:
     """Stable identity of a dataset: sha256 of its manifest bytes."""
-    manifest = Path(dataset_path) / MANIFEST_NAME
-    return hashlib.sha256(manifest.read_bytes()).hexdigest()
+    return file_sha256(Path(dataset_path) / MANIFEST_NAME)

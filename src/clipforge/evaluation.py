@@ -217,6 +217,13 @@ def evaluate(
     ranks the language's caption pool for every image.  first_caption keeps
     one caption per image and language; all_captions uses every caption, with
     an image's full caption set counting as relevant in image_to_text mode.
+
+    Images are stacked and embedded ``batch_size`` records at a time, one row
+    per record.  Per language, each distinct caption string is tokenized and
+    embedded once, and its row is gathered back to every caption that repeats
+    it, so queries, candidates and relevance sets still have one row per
+    caption.  Each row depends only on its own caption, up to the last bits
+    that the batch's GEMM shapes set when caption lengths are mixed.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
@@ -238,28 +245,27 @@ def evaluate(
             f" {sorted(languages)}, dataset has {sorted(dataset.languages)}"
         )
 
-    pixels = pixel_batch(records)
     image_emb = _batched(
-        lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size
+        lambda chunk: M.encode_image(model, pixel_batch(chunk)).data, (records,), batch_size
     )
 
     max_len = model.config.max_text_len
     rows = {}
     covered = False
     for language in shared:
-        texts, owners = [], []
+        distinct, row_of, owners = {}, [], []  # distinct: caption -> row, in first-occurrence order
         for index, record in enumerate(records):
             captions = _captions_of(record, language)
             if caption_mode == FIRST_CAPTION:
                 captions = captions[:1]
             for caption in captions:
-                texts.append(caption)
+                row_of.append(distinct.setdefault(caption, len(distinct)))
                 owners.append(index)
-        tokens, lengths = tokenize_batch(texts, vocab, max_len)
+        tokens, lengths = tokenize_batch(list(distinct), vocab, max_len)
         covered = covered or bool((tokens[:, 1:] > UNK_ID).any())
         text_emb = _batched(
             lambda t, n: M.encode_text(model, t, n).data, (tokens, lengths), batch_size
-        )
+        )[row_of]
         if direction == TEXT_TO_IMAGE:
             task = RetrievalTask(
                 direction=direction,

@@ -24,6 +24,7 @@ from .contrastive import clip_loss, similarity
 from .data import (
     SPLIT_NAME,
     Vocabulary,
+    file_sha256,
     load_dataset,
     manifest_digest,
     pixel_batch,
@@ -169,11 +170,10 @@ def run_id_of(config: RunConfig) -> str:
     """
     text = config_to_text(config, skip=("dataset_dir", "output_dir", "init_from"))
     text += f"dataset_digest={manifest_digest(config.dataset_dir)}\n"
-    split_bytes = (Path(config.dataset_dir) / SPLIT_NAME).read_bytes()
-    text += f"split_digest={hashlib.sha256(split_bytes).hexdigest()}\n"
+    text += f"split_digest={file_sha256(Path(config.dataset_dir) / SPLIT_NAME)}\n"
     if config.init_from:
         try:
-            digest = hashlib.sha256(Path(config.init_from).read_bytes()).hexdigest()
+            digest = file_sha256(config.init_from)
         except OSError as exc:
             raise ConfigError(f"cannot read init_from {config.init_from}: {exc.strerror}") from exc
         text += f"init_from_digest={digest}\n"

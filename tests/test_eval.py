@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipforge import data, evaluation
 from clipforge import model as M
-from clipforge.data import Vocabulary, generate_synthetic_corpus
+from clipforge.data import Vocabulary, generate_synthetic_corpus, pixel_batch, tokenize_batch
 from clipforge.errors import ComparisonError, ConfigError, EvaluationError
 from clipforge.evaluation import (
     ALL_CAPTIONS,
@@ -358,6 +359,132 @@ def test_evaluate_language_selection_and_errors():
     with pytest.raises(EvaluationError):
         # vocabulary shares no token with the captions
         evaluate(model, ds, Vocabulary.from_tokens(["zzz", "qqq"]), languages=["eng_Latn"])
+
+
+def two_caption_dataset(n, seed):
+    """A synthetic corpus whose records carry two captions per language: their
+    own and the previous record's, and every fifth record its own twice.  Its
+    384 caption templates repeat across records, so every pool repeats."""
+    ds = generate_synthetic_corpus(n, 3, image_size=16, seed=seed)
+    records = []
+    for i, r in enumerate(ds.records):
+        second = r if i % 5 == 0 else ds.records[i - 1]
+        captions = {lang: [r.captions[lang], second.captions[lang]] for lang in ds.languages}
+        records.append(StubRecord(r.id, captions, r.get_pixels()))
+    return StubDataset(records, ds.languages), Vocabulary.for_dataset(ds)
+
+
+def caption_pool(dataset, language, caption_mode):
+    pool = []
+    for record in dataset.records:
+        captions = record.captions[language]
+        captions = [captions] if isinstance(captions, str) else list(captions)
+        pool.append(captions[:1] if caption_mode == FIRST_CAPTION else captions)
+    return pool
+
+
+def every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size):
+    """Per-language rows of an evaluate that tokenizes and embeds every caption
+    row, repeats included, and stacks every image at once, kept as the
+    reference for the one that embeds each distinct caption once."""
+    records = dataset.records
+    pixels = pixel_batch(records)
+    image_emb = np.concatenate(
+        [M.encode_image(model, pixels[a : a + batch_size]).data for a in range(0, len(records), batch_size)]
+    )
+    rows = {}
+    for language in dataset.languages:
+        pool = caption_pool(dataset, language, caption_mode)
+        texts = [caption for captions in pool for caption in captions]
+        owners = [index for index, captions in enumerate(pool) for _ in captions]
+        tokens, lengths = tokenize_batch(texts, vocab, model.config.max_text_len)
+        text_emb = np.concatenate(
+            [
+                M.encode_text(model, tokens[a : a + batch_size], lengths[a : a + batch_size]).data
+                for a in range(0, len(texts), batch_size)
+            ]
+        )
+        if direction == TEXT_TO_IMAGE:
+            t = RetrievalTask(direction, text_emb, tuple(frozenset({o}) for o in owners), image_emb)
+        else:
+            relevance = tuple(
+                frozenset(row for row, owner in enumerate(owners) if owner == index)
+                for index in range(len(records))
+            )
+            t = RetrievalTask(direction, image_emb, relevance, text_emb)
+        rows[language] = metric_row_from_ranks(loop_ranks(t))
+    return rows
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Rows of each encode_text call, tokenize calls, and records stacked by
+    each of evaluate's pixel_batch calls."""
+    seen = {"text_rows": [], "tokenize_calls": 0, "pixel_rows": []}
+    encode_text, tokenize = M.encode_text, data.tokenize
+
+    def counting_encode_text(model, tokens, lengths):
+        seen["text_rows"].append(len(tokens))
+        return encode_text(model, tokens, lengths)
+
+    def counting_tokenize(text, vocab, max_len):
+        seen["tokenize_calls"] += 1
+        return tokenize(text, vocab, max_len)
+
+    def counting_pixel_batch(records):
+        seen["pixel_rows"].append(len(records))
+        return pixel_batch(records)
+
+    monkeypatch.setattr(M, "encode_text", counting_encode_text)
+    monkeypatch.setattr(data, "tokenize", counting_tokenize)
+    monkeypatch.setattr(evaluation, "pixel_batch", counting_pixel_batch)
+    return seen
+
+
+@pytest.mark.parametrize("caption_mode", [FIRST_CAPTION, ALL_CAPTIONS])
+def test_evaluate_embeds_each_distinct_caption_once(counted, caption_mode):
+    dataset, vocab = two_caption_dataset(120, seed=11)
+    model = micro_model(vocab.size, 8, seed=5)
+    for language in dataset.languages:
+        pool = caption_pool(dataset, language, caption_mode)
+        distinct = len({caption for captions in pool for caption in captions})
+        assert distinct < sum(map(len, pool))  # the corpus repeats captions
+        counted["text_rows"].clear()
+        counted["tokenize_calls"] = 0
+        counted["pixel_rows"].clear()
+        evaluate(model, dataset, vocab, caption_mode=caption_mode, languages=[language], batch_size=16)
+        assert sum(counted["text_rows"]) == distinct
+        assert counted["tokenize_calls"] == distinct
+        # images are stacked per batch: one row per record, never the whole split at once
+        assert counted["pixel_rows"] == [16] * 7 + [8]
+
+
+@pytest.mark.parametrize("caption_mode", [FIRST_CAPTION, ALL_CAPTIONS])
+@pytest.mark.parametrize("direction", [TEXT_TO_IMAGE, IMAGE_TO_TEXT])
+def test_distinct_caption_reports_equal_an_every_row_encode(direction, caption_mode):
+    dataset, vocab = two_caption_dataset(120, seed=12)
+    model = micro_model(vocab.size, 8, seed=6)
+    report = evaluate(model, dataset, vocab, direction=direction, caption_mode=caption_mode, batch_size=16)
+    expected = every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size=16)
+    assert report.rows == expected
+    assert report.average == evaluation._mean_row(expected)
+
+
+def test_all_distinct_captions_are_each_encoded_once(counted):
+    corpus = generate_synthetic_corpus(60, 2, image_size=16, seed=13)
+    first = {}
+    for r in corpus.records:  # the cipher is one-to-one, so this dedups every language
+        first.setdefault(r.captions["eng_Latn"], r)
+    dataset = StubDataset(list(first.values()), corpus.languages)
+    vocab = Vocabulary.for_dataset(corpus)
+    model = micro_model(vocab.size, 8, seed=7)
+    n = len(dataset.records)
+    for direction in (TEXT_TO_IMAGE, IMAGE_TO_TEXT):
+        counted["text_rows"].clear()
+        counted["tokenize_calls"] = 0
+        report = evaluate(model, dataset, vocab, direction=direction, batch_size=16)
+        assert sum(counted["text_rows"]) == counted["tokenize_calls"] == 2 * n
+        assert report.rows == every_row_rows(model, dataset, vocab, direction, FIRST_CAPTION, 16)
 
 
 def test_perfectly_separable_embeddings_hit_rank_one():

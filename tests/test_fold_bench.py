@@ -132,3 +132,23 @@ def test_each_metric_gets_a_verdict(tmp_path, parent_rates, change_rates, expect
     metrics = bench["workloads"]["adapt_frozen_lion8"]["metrics"]
     assert metrics["throughput_per_s"]["verdict"] == expected
     assert metrics["peak_rss_mb"]["verdict"] == "within_bound"  # equal on every run
+
+
+def test_main_prints_each_verdict_and_warns_of_unequal_digests(tmp_path, capsys):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    # the parent's rates spread wider than the 0.25 bound; the change's peak RSS is 15% worse
+    for seed, (p_rate, c_rate) in enumerate([(40, 150), (100, 90), (160, 160), (100, 110)], start=1):
+        write_result(parent, seed, p_rate, 100.0)
+        write_result(change, seed, c_rate, 115.0, digest="d1" if seed == 2 else "d0")
+    out = tmp_path / "BENCH_0.json"
+    assert fold_bench.main([str(parent), str(change), str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "adapt_frozen_lion8 setup_s: parent 1 -> change 1 s, change won 0/4, within_bound",
+        "adapt_frozen_lion8 run_s: parent 1 -> change 0.7879 s, change won 2/4, unresolved",
+        "adapt_frozen_lion8 throughput_per_s: parent 100 -> change 130 1/s, change won 2/4, unresolved",
+        "adapt_frozen_lion8 peak_rss_mb: parent 100 -> change 115 MB, change won 0/4, regression",
+        "WARNING: adapt_frozen_lion8 loss_digest equal in 3 of 4 pairs",
+    ]
+    # the printed summary leaves the JSON file as it was
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    assert out.read_text() == json.dumps(fold_bench.fold(parent, change, spec), indent=1, sort_keys=True) + "\n"

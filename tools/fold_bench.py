@@ -19,6 +19,10 @@ hold a ``--trace 1`` result of a workload at one seed, ``traced`` gives
 every per-layer metric both measured, side by side.  It also records each
 side's environment line (cores, BLAS, python, numpy, ``src/`` non-blank
 lines) as the runs saved it.  Standard library only.
+
+Standard output gets one line per workload and end-to-end metric (both
+medians, the pairs the change won and the verdict) and a ``WARNING`` line for
+each ``records`` digest that was not equal in every pair.
 """
 
 from __future__ import annotations
@@ -163,6 +167,24 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
     }
 
 
+def summary_lines(folded: dict) -> list:
+    """The verdict line of each workload and end-to-end metric, and a warning
+    for each digest that differed in some pair."""
+    lines = []
+    for workload, entry in folded["workloads"].items():
+        for name, m in entry["metrics"].items():
+            lines.append(
+                f"{workload} {name}: parent {m['parent']['median']:.4g} -> change"
+                f" {m['change']['median']:.4g} {m['unit']}, change won {m['change_won']}/{m['pairs']},"
+                f" {m['verdict']}"
+            )
+        pairs = len(entry["seeds"])
+        for digest, equal in entry["records_equal_pairs"].items():
+            if equal != pairs:
+                lines.append(f"WARNING: {workload} {digest} equal in {equal} of {pairs} pairs")
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 3:
@@ -171,6 +193,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     folded = fold(argv[0], argv[1], spec)
     Path(argv[2]).write_text(json.dumps(folded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print("\n".join(summary_lines(folded)))
     return 0
 
 
