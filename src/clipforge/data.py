@@ -22,7 +22,6 @@ from .model import replace_file
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
 PIXEL_DIR = "pixels"
-HASH_BLOCK = 1 << 16  # bytes file_sha256 reads at a time
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -428,13 +427,8 @@ def split_records(dataset: Dataset, dataset_path):
 
 
 def file_sha256(path) -> str:
-    """Hex sha256 of a file's bytes, read in ``HASH_BLOCK`` pieces, so that
-    hashing a checkpoint holds one block instead of the whole file."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(HASH_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    """Hex sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def manifest_digest(dataset_path) -> str:

@@ -218,8 +218,8 @@ def evaluate(
     one caption per image and language; all_captions uses every caption, with
     an image's full caption set counting as relevant in image_to_text mode.
 
-    Images are stacked and embedded ``batch_size`` records at a time, one row
-    per record.  Per language, each distinct caption string is tokenized and
+    Images are embedded ``batch_size`` records at a time, one row per
+    record.  Per language, each distinct caption string is tokenized and
     embedded once, and its row is gathered back to every caption that repeats
     it, so queries, candidates and relevance sets still have one row per
     caption.  Each row depends only on its own caption, up to the last bits
@@ -245,8 +245,9 @@ def evaluate(
             f" {sorted(languages)}, dataset has {sorted(dataset.languages)}"
         )
 
+    pixels = pixel_batch(records)
     image_emb = _batched(
-        lambda chunk: M.encode_image(model, pixel_batch(chunk)).data, (records,), batch_size
+        lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size
     )
 
     max_len = model.config.max_text_len

@@ -1,6 +1,3 @@
-import hashlib
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,7 +7,6 @@ from clipforge.data import (
     BOS_ID,
     COLORS,
     EOS_ID,
-    HASH_BLOCK,
     PAD_ID,
     UNK_ID,
     CaptionedImage,
@@ -18,7 +14,6 @@ from clipforge.data import (
     aesthetic_filter,
     choose_language,
     cipher_code,
-    file_sha256,
     generate_synthetic_corpus,
     load_dataset,
     load_split,
@@ -424,25 +419,3 @@ def test_manifest_digest_tracks_content(tmp_path):
     other = generate_synthetic_corpus(6, 2, image_size=16, seed=12)
     save_dataset(other, tmp_path / "z")
     assert manifest_digest(tmp_path / "z") != manifest_digest(tmp_path / "x")
-
-
-@pytest.mark.parametrize("size", [0, 1, HASH_BLOCK - 1, HASH_BLOCK, 3 * HASH_BLOCK + 7])
-def test_file_sha256_equals_hashlib_of_the_bytes(tmp_path, size):
-    payload = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
-    (tmp_path / "f.bin").write_bytes(payload)
-    assert file_sha256(tmp_path / "f.bin") == hashlib.sha256(payload).hexdigest()
-
-
-def test_file_sha256_holds_one_block_not_the_file(tmp_path):
-    path = tmp_path / "big.bin"
-    path.write_bytes(np.random.default_rng(0).integers(0, 256, size=8 << 20, dtype=np.uint8).tobytes())
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        digest = file_sha256(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -418,9 +418,8 @@ def every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Rows of each encode_text call, tokenize calls, and records stacked by
-    each of evaluate's pixel_batch calls."""
-    seen = {"text_rows": [], "tokenize_calls": 0, "pixel_rows": []}
+    """Rows of each encode_text call, and tokenize calls."""
+    seen = {"text_rows": [], "tokenize_calls": 0}
     encode_text, tokenize = M.encode_text, data.tokenize
 
     def counting_encode_text(model, tokens, lengths):
@@ -431,13 +430,8 @@ def counted(monkeypatch):
         seen["tokenize_calls"] += 1
         return tokenize(text, vocab, max_len)
 
-    def counting_pixel_batch(records):
-        seen["pixel_rows"].append(len(records))
-        return pixel_batch(records)
-
     monkeypatch.setattr(M, "encode_text", counting_encode_text)
     monkeypatch.setattr(data, "tokenize", counting_tokenize)
-    monkeypatch.setattr(evaluation, "pixel_batch", counting_pixel_batch)
     return seen
 
 
@@ -451,12 +445,9 @@ def test_evaluate_embeds_each_distinct_caption_once(counted, caption_mode):
         assert distinct < sum(map(len, pool))  # the corpus repeats captions
         counted["text_rows"].clear()
         counted["tokenize_calls"] = 0
-        counted["pixel_rows"].clear()
         evaluate(model, dataset, vocab, caption_mode=caption_mode, languages=[language], batch_size=16)
         assert sum(counted["text_rows"]) == distinct
         assert counted["tokenize_calls"] == distinct
-        # images are stacked per batch: one row per record, never the whole split at once
-        assert counted["pixel_rows"] == [16] * 7 + [8]
 
 
 @pytest.mark.parametrize("caption_mode", [FIRST_CAPTION, ALL_CAPTIONS])
