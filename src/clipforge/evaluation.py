@@ -266,7 +266,9 @@ def evaluate(
         covered = covered or bool((tokens[:, 1:] > UNK_ID).any())
         text_emb = _batched(
             lambda t, n: M.encode_text(model, t, n).data, (tokens, lengths), batch_size
-        )[row_of]
+        )
+        if len(distinct) < len(row_of):  # else row_of is 0..n-1 and the gather would only copy
+            text_emb = text_emb[row_of]
         if direction == TEXT_TO_IMAGE:
             task = RetrievalTask(
                 direction=direction,

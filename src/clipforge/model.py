@@ -220,8 +220,8 @@ def _attention(x, params, prefix: str, heads: int, bias, residual):
 
 
 def _mlp(x, params, prefix: str, residual):
-    h = T.gelu(T.linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"]))
-    return T.linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"], residual)
+    h = T.linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"])
+    return T.gelu_linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"], residual)
 
 
 def _encoder(x, params, tower: str, layers: int, heads: int, attn_bias, pool_mask):

@@ -2,7 +2,8 @@
 
 Covers exactly the operations a small pre-norm transformer dual encoder needs:
 matmul, linear (matmul plus bias, optionally plus a residual added into the
-GEMM output buffer), elementwise arithmetic with trailing-shape
+GEMM output buffer), gelu_linear (linear over gelu of the input, keeping only
+the input), elementwise arithmetic with trailing-shape
 broadcast, gelu, embedding lookup, reshape/axis swap, reductions, layer norm,
 softmax, multi-head attention (one node from q/k/v to the merged heads),
 softmax cross entropy, masked mean pooling and L2 normalization.
@@ -27,8 +28,8 @@ from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 # elements per gelu block: the forward's two slices and one scratch block, and
-# the backward's three slices and two scratch blocks, stay in a core's L2 across
-# their passes instead of streaming from memory
+# the backward's three or four slices and three scratch blocks, stay in a core's
+# L2 across their passes instead of streaming from memory
 _GELU_BLOCK = 1 << 15
 
 
@@ -147,11 +148,16 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(out, (a,), bwd, "scale")
 
 
-def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional[Tensor] = None) -> Tensor:
-    """x @ w (+ b) (+ residual) over x's last axis; both passes run as 2-D GEMMs."""
+def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional[Tensor] = None,
+          gelu: bool = False) -> Tensor:
+    """x @ w (+ b) (+ residual) over x's last axis; both passes run as 2-D GEMMs.
+
+    With gelu, the GEMM reads gelu(x) instead of x. gelu(x) lives only while
+    the forward GEMM reads it: the node keeps x, and the backward rebuilds
+    gelu(x) for w's gradient and gelu'(x) for x's from one tanh per block."""
     k, n = w.shape
-    x2 = x.data.reshape(-1, k)
-    out = x2 @ w.data
+    lhs = _gelu_into(x.data, np.empty(x.shape, x.dtype)) if gelu else x.data
+    out = lhs.reshape(-1, k) @ w.data
     if b is not None:
         out += b.data
     if residual is not None:
@@ -159,10 +165,15 @@ def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        grads = [
-            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-            x2.T @ g2 if w.requires_grad else None,
-        ]
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        lhs = x.data
+        if gelu:
+            lhs = np.empty(x.shape, x.dtype) if w.requires_grad else None
+            if gx is not None:
+                _gelu_grad_into(x.data, gx, gx, lhs)
+            elif lhs is not None:
+                _gelu_into(x.data, lhs)
+        grads = [gx, lhs.reshape(-1, k).T @ g2 if w.requires_grad else None]
         if b is not None:
             grads.append(g2.sum(axis=0) if b.requires_grad else None)
         if residual is not None:
@@ -192,19 +203,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bwd, "matmul")
 
 
+def _check_linear(x: Tensor, w: Tensor, b: Optional[Tensor], residual: Optional[Tensor], op: str) -> None:
+    bias = None if b is None else b.shape
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
+        raise DimensionError(f"{op}: input {x.shape}, weight {w.shape} and bias {bias} disagree")
+    out_shape = x.shape[:-1] + w.shape[1:]
+    if residual is not None and residual.shape != out_shape:
+        raise DimensionError(f"{op}: residual {residual.shape} does not match the output {out_shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None, residual: Optional[Tensor] = None) -> Tensor:
     """x @ w + b (+ residual) over x's last axis as one node; w is (in, out), b is (out,).
 
     A residual shaped like the output is added into the GEMM output buffer
     after the bias: bitwise equal to add(residual, linear(x, w, b)), since
     IEEE addition commutes, without a second full-size array or node."""
-    bias = None if b is None else b.shape
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
-        raise DimensionError(f"linear: input {x.shape}, weight {w.shape} and bias {bias} disagree")
-    out_shape = x.shape[:-1] + w.shape[1:]
-    if residual is not None and residual.shape != out_shape:
-        raise DimensionError(f"linear: residual {residual.shape} does not match the output {out_shape}")
+    _check_linear(x, w, b, residual, "linear")
     return _gemm(x, w, b, "linear", residual)
+
+
+def gelu_linear(h: Tensor, w: Tensor, b: Optional[Tensor] = None, residual: Optional[Tensor] = None) -> Tensor:
+    """linear(gelu(h), w, b, residual) as one node, bitwise equal in the output and every gradient.
+
+    The node keeps h but not gelu(h): a graph holds one hidden-width array
+    per MLP instead of two."""
+    _check_linear(h, w, b, residual, "gelu_linear")
+    return _gemm(h, w, b, "gelu_linear", residual, gelu=True)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -245,11 +269,21 @@ def narrow_rows(a: Tensor, n: int) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal.
 
-    Forward and backward run block by block over the flattened array; every
-    element still sees the same operations in the same order. The node keeps
-    only its input: the backward recomputes each block's tanh."""
-    x = a.data
-    out = np.empty(x.shape, x.dtype)
+    The node keeps only its input: the backward recomputes each block's tanh."""
+    out = _gelu_into(a.data, np.empty(a.shape, a.dtype))
+
+    def bwd(g):
+        return (_gelu_grad_into(a.data, g, np.empty(a.shape, a.dtype)),)
+
+    return _result(out, (a,), bwd, "gelu")
+
+
+# gelu and gelu_linear run their passes block by block over the flattened
+# array; every element still sees the same operations in the same order
+
+
+def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """gelu(x) = 0.5 * x * (1 + t) into out, a C-contiguous array of x's shape and dtype."""
     xf, of = x.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
@@ -258,32 +292,35 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(xs, 0.5, out=ys)
         ts += 1.0
         ys *= ts
+    return out
 
-    def bwd(g):
-        # block by block like the forward: one output array, two scratch blocks
-        gx = np.empty(x.shape, x.dtype)
-        xf, gf, df = a.data.reshape(-1), g.reshape(-1), gx.reshape(-1)
-        tanh, slope = np.empty((2, min(xf.size, _GELU_BLOCK)), x.dtype)
-        for i in range(0, xf.size, _GELU_BLOCK):
-            xs, local = xf[i : i + _GELU_BLOCK], df[i : i + _GELU_BLOCK]
-            ts, sl = _gelu_tanh(xs, tanh[: xs.size]), slope[: xs.size]
-            np.multiply(ts, ts, out=local)
-            np.subtract(1.0, local, out=local)
-            np.multiply(xs, 0.5, out=sl)
-            sl *= local
-            ts += 1.0  # t is read for the last time: 0.5 * (1 + t) in its own block
-            ts *= 0.5
-            di = local  # the derivative of the tanh argument, in the block now free
-            np.multiply(xs, 3 * 0.044715, out=di)
-            di *= xs
-            di += 1.0
-            di *= _GELU_C
-            sl *= di
-            np.add(ts, sl, out=local)
-            local *= gf[i : i + _GELU_BLOCK]
-        return (gx,)
 
-    return _result(out, (a,), bwd, "gelu")
+def _gelu_grad_into(x: np.ndarray, g: np.ndarray, out: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+    """g * gelu'(x) into out, which may be g itself; with y, also gelu(x) into y
+    from the same tanh. out and y are C-contiguous arrays of x's shape and dtype."""
+    xf, gf, of = x.reshape(-1), g.reshape(-1), out.reshape(-1)
+    yf = None if y is None else y.reshape(-1)
+    tanh, slope, inner = np.empty((3, min(xf.size, _GELU_BLOCK)), x.dtype)
+    for i in range(0, xf.size, _GELU_BLOCK):
+        block = slice(i, i + _GELU_BLOCK)
+        xs = xf[block]
+        ts, sl, di = _gelu_tanh(xs, tanh[: xs.size]), slope[: xs.size], inner[: xs.size]
+        np.multiply(ts, ts, out=di)
+        np.subtract(1.0, di, out=di)
+        np.multiply(xs, 0.5, out=sl)
+        ts += 1.0  # t is read for the last time
+        if yf is not None:
+            np.multiply(sl, ts, out=yf[block])
+        sl *= di
+        ts *= 0.5
+        np.multiply(xs, 3 * 0.044715, out=di)  # the derivative of the tanh argument
+        di *= xs
+        di += 1.0
+        di *= _GELU_C
+        sl *= di
+        ts += sl
+        np.multiply(ts, gf[block], out=of[block])
+    return out
 
 
 def _gelu_tanh(xs: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -408,11 +408,11 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 raise TrainingError(
                     f"non-finite loss {value} at epoch {epoch} step {state.step_count}"
                 )
-            model.zero_grad()
             loss.backward()
-            grads = {name: p.grad for name, p in trainable.items()}
             last_lr = _scheduled_lr(state.step_count, total_steps, config.lr, config.warmup_steps)
-            step_fn(trainable, grads, state, last_lr, config.weight_decay)
+            step_fn(trainable, {name: p.grad for name, p in trainable.items()}, state, last_lr,
+                    config.weight_decay)
+            model.zero_grad()  # no step's gradients live through the next forward
             epoch_total += value * len(batch)
             epoch_count += len(batch)
 

@@ -6,6 +6,7 @@ all seeds and hyperparameters are pinned, so results are bit-reproducible.
 """
 
 import hashlib
+import inspect
 import math
 import time
 from pathlib import Path
@@ -152,7 +153,26 @@ def _op_cases(rng):
     a = leaf(2, 4, 3)
     case("masked_mean", [a], lambda a=a: T.masked_mean(a, mask))
     case("l2_normalize", [normed], lambda a=normed: T.l2_normalize(a))
+    x, w, bb, r = leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 5)
+    case("linear bias residual", [x, w, bb, r], lambda x=x, w=w, b=bb, r=r: T.linear(x, w, b, r))
+    x, w, bb, r = leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 5)
+    case("gelu_linear bias residual", [x, w, bb, r], lambda x=x, w=w, b=bb, r=r: T.gelu_linear(x, w, b, r))
+    q, k, v = leaf(2, 4, 6), leaf(2, 4, 6), leaf(2, 4, 6)
+    lengths = rng.integers(1, 5, size=2)
+    key_mask = np.where(np.arange(4)[None, :] < lengths[:, None], 0.0, -1e9)[:, None, None, :]
+    case("attention key mask", [q, k, v], lambda q=q, k=k, v=v: T.attention(q, k, v, 2, key_mask))
     return cases
+
+
+def test_op_cases_cover_every_node_building_function():
+    public = {
+        name.rstrip("_")  # sum_ / mean_ have the cases "sum" / "mean"
+        for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+    } - {"backward", "topo_order"}
+    covered = {name.split()[0] for name, _, _ in _op_cases(np.random.default_rng(0))}
+    missing = sorted(public - covered)
+    _verdict("gradient oracle covers every op", not missing, f"no case for {missing}" if missing else "")
 
 
 def _micro_corpus(seed=0):

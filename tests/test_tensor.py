@@ -182,6 +182,54 @@ def test_linear_residual_shape_error_names_the_shapes(r_shape):
     assert str(r_shape) in str(exc.value) and str((2, 5)) in str(exc.value)
 
 
+def _gelu_linear_leaves(x_shape, bias, residual, frozen, seed):
+    """Leaves h, w (, b) (, residual) in float32; the one at index frozen needs no gradient."""
+    rng = np.random.default_rng(seed)
+    shapes = [x_shape, (x_shape[-1], 5)] + ([(5,)] if bias else []) + ([x_shape[:-1] + (5,)] if residual else [])
+    arrays = [(rng.standard_normal(shape) * 2).astype(np.float32) for shape in shapes]
+    return [T.Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+
+
+@pytest.mark.parametrize("frozen", [None, 0, 1], ids=["all-grad", "h-frozen", "w-frozen"])
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("x_shape", [(6, 8), (3, 200, 64)], ids=["2d", "3d-two-gelu-blocks"])
+def test_gelu_linear_bitwise_equals_linear_of_gelu(x_shape, bias, residual, frozen):
+    seed = [len(x_shape), bias, residual, 2 if frozen is None else frozen]
+    g = np.random.default_rng(seed + [1]).standard_normal(x_shape[:-1] + (5,)).astype(np.float32)
+    outcomes = []
+    for fused in (True, False):
+        leaves = _gelu_linear_leaves(x_shape, bias, residual, frozen, seed)
+        h, w, *rest = leaves
+        b = rest.pop(0) if bias else None
+        r = rest.pop(0) if residual else None
+        out = T.gelu_linear(h, w, b, r) if fused else T.linear(T.gelu(h), w, b, r)
+        T.sum_(T.mul(out, T.Tensor(g))).backward()
+        outcomes.append([out.data] + [leaf.grad for leaf in leaves])
+    fused, reference = outcomes
+    assert fused[0].dtype == np.float32 and fused[0].shape == x_shape[:-1] + (5,)
+    assert [a is None for a in fused] == [a is None for a in reference]
+    assert [i for i, a in enumerate(fused) if a is None] == ([] if frozen is None else [frozen + 1])
+    assert all(a is None or (a.dtype == np.float32 and np.array_equal(a, r)) for a, r in zip(fused, reference))
+
+
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+def test_gelu_linear_gradcheck(residual):
+    rng = np.random.default_rng([residual, 25])
+    for _ in range(N_INSTANCES):
+        arrays = [rng.uniform(-2, 2, (2, 3, 4)), rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (5,))]
+        if residual:
+            arrays.append(rng.uniform(-1, 1, (2, 3, 5)))
+        w = rng.uniform(-1, 1, (2, 3, 5))
+        _gradcheck(lambda ts: _weighted_scalar(T.gelu_linear(*ts), w), arrays)
+
+
+def test_gelu_linear_shape_error_names_the_op_and_shapes():
+    with pytest.raises(DimensionError) as exc:
+        T.gelu_linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
+    assert "gelu_linear" in str(exc.value) and str((2, 3)) in str(exc.value) and str((4, 5)) in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # layer norm
 # ---------------------------------------------------------------------------
@@ -614,6 +662,18 @@ def test_gelu_node_keeps_only_its_input_and_output(transposed):
     out, kept = _bytes_kept_by(lambda: T.gelu(a))
     extra = kept - out.data.nbytes
     assert extra < 4096, f"gelu node keeps {extra} B beyond its input and output"
+
+
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+def test_gelu_linear_node_keeps_no_gelu_output(residual):
+    # gelu(h) is 1 MiB here; the node may keep h and its output, nothing of gelu(h)'s size
+    h = T.Tensor(RNG.standard_normal((256, 1024)).astype(np.float32), requires_grad=True)
+    w = T.Tensor(RNG.standard_normal((1024, 8)).astype(np.float32), requires_grad=True)
+    b = T.Tensor(RNG.standard_normal(8).astype(np.float32), requires_grad=True)
+    r = T.Tensor(RNG.standard_normal((256, 8)).astype(np.float32), requires_grad=True) if residual else None
+    out, kept = _bytes_kept_by(lambda: T.gelu_linear(h, w, b, r))
+    extra = kept - out.data.nbytes
+    assert extra < 4096, f"gelu_linear node keeps {extra} B beyond its input and output"
 
 
 def test_layer_norm_node_keeps_only_row_statistics_beyond_input_and_output():

@@ -207,6 +207,13 @@ def test_run_produces_artifacts(dataset_dir, tmp_path):
     assert result.best_val_loss == min(s.val_loss for s in result.stats)
 
 
+def test_no_gradient_outlives_the_run(dataset_dir, tmp_path):
+    # each step's gradients are dropped after its optimizer step, the last step's too
+    result = run_training(tiny_config(dataset_dir, tmp_path / "run", epochs=1))
+    assert result.total_steps > 0
+    assert [name for name, p in result.model.params.items() if p.grad is not None] == []
+
+
 def test_two_runs_bitwise_identical(dataset_dir, tmp_path):
     a = run_training(tiny_config(dataset_dir, tmp_path / "a"))
     b = run_training(tiny_config(dataset_dir, tmp_path / "b"))
