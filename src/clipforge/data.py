@@ -98,7 +98,8 @@ class Vocabulary:
 
     @staticmethod
     def build(captions) -> "Vocabulary":
-        tokens = sorted({word for text in captions for word in text.lower().split()})
+        # a corpus repeats captions (one per image per language): split each distinct one once
+        tokens = sorted({word for text in set(captions) for word in text.lower().split()})
         return Vocabulary.from_tokens(tokens)
 
     @staticmethod

@@ -220,8 +220,8 @@ def _attention(x, params, prefix: str, heads: int, bias, residual):
 
 
 def _mlp(x, params, prefix: str, residual):
-    h = T.linear(x, params[f"{prefix}/fc1/w"], params[f"{prefix}/fc1/b"])
-    return T.gelu_linear(h, params[f"{prefix}/fc2/w"], params[f"{prefix}/fc2/b"], residual)
+    fc1, fc2 = f"{prefix}/fc1", f"{prefix}/fc2"
+    return T.mlp(x, params[f"{fc1}/w"], params[f"{fc1}/b"], params[f"{fc2}/w"], params[f"{fc2}/b"], residual)
 
 
 def _encoder(x, params, tower: str, layers: int, heads: int, attn_bias, pool_mask):

@@ -2,11 +2,12 @@
 
 Covers exactly the operations a small pre-norm transformer dual encoder needs:
 matmul, linear (matmul plus bias, optionally plus a residual added into the
-GEMM output buffer), gelu_linear (linear over gelu of the input, keeping only
-the input), elementwise arithmetic with trailing-shape
-broadcast, gelu, embedding lookup, reshape/axis swap, reductions, layer norm,
-softmax, multi-head attention (one node from q/k/v to the merged heads),
-softmax cross entropy, masked mean pooling and L2 normalization.
+GEMM output buffer), mlp (linear, gelu, linear as one node that keeps only its
+input and parameters and recomputes the hidden array in its backward),
+elementwise arithmetic with trailing-shape broadcast, gelu, embedding lookup,
+reshape/axis swap, reductions, layer norm, softmax, multi-head attention (one
+node from q/k/v to the merged heads), softmax cross entropy, masked mean
+pooling and L2 normalization.
 
 Arrays are float32 by default. Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves runs end to end in float64 (used by the
@@ -28,8 +29,8 @@ from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 # elements per gelu block: the forward's two slices and one scratch block, and
-# the backward's three or four slices and three scratch blocks, stay in a core's
-# L2 across their passes instead of streaming from memory
+# the backward's three or four slices and three or four scratch blocks, stay in
+# a core's L2 across their passes instead of streaming from memory
 _GELU_BLOCK = 1 << 15
 
 
@@ -148,16 +149,10 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(out, (a,), bwd, "scale")
 
 
-def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional[Tensor] = None,
-          gelu: bool = False) -> Tensor:
-    """x @ w (+ b) (+ residual) over x's last axis; both passes run as 2-D GEMMs.
-
-    With gelu, the GEMM reads gelu(x) instead of x. gelu(x) lives only while
-    the forward GEMM reads it: the node keeps x, and the backward rebuilds
-    gelu(x) for w's gradient and gelu'(x) for x's from one tanh per block."""
+def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional[Tensor] = None) -> Tensor:
+    """x @ w (+ b) (+ residual) over x's last axis; both passes run as 2-D GEMMs."""
     k, n = w.shape
-    lhs = _gelu_into(x.data, np.empty(x.shape, x.dtype)) if gelu else x.data
-    out = lhs.reshape(-1, k) @ w.data
+    out = x.data.reshape(-1, k) @ w.data
     if b is not None:
         out += b.data
     if residual is not None:
@@ -165,15 +160,10 @@ def _gemm(x: Tensor, w: Tensor, b: Optional[Tensor], op: str, residual: Optional
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        lhs = x.data
-        if gelu:
-            lhs = np.empty(x.shape, x.dtype) if w.requires_grad else None
-            if gx is not None:
-                _gelu_grad_into(x.data, gx, gx, lhs)
-            elif lhs is not None:
-                _gelu_into(x.data, lhs)
-        grads = [gx, lhs.reshape(-1, k).T @ g2 if w.requires_grad else None]
+        grads = [
+            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            x.data.reshape(-1, k).T @ g2 if w.requires_grad else None,
+        ]
         if b is not None:
             grads.append(g2.sum(axis=0) if b.requires_grad else None)
         if residual is not None:
@@ -203,11 +193,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bwd, "matmul")
 
 
-def _check_linear(x: Tensor, w: Tensor, b: Optional[Tensor], residual: Optional[Tensor], op: str) -> None:
+def _check_linear(x_shape: tuple, w: Tensor, b: Optional[Tensor], residual: Optional[Tensor], op: str) -> None:
     bias = None if b is None else b.shape
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
-        raise DimensionError(f"{op}: input {x.shape}, weight {w.shape} and bias {bias} disagree")
-    out_shape = x.shape[:-1] + w.shape[1:]
+    if w.ndim != 2 or x_shape[-1:] != w.shape[:1] or bias not in (None, w.shape[1:]):
+        raise DimensionError(f"{op}: input {x_shape}, weight {w.shape} and bias {bias} disagree")
+    out_shape = x_shape[:-1] + w.shape[1:]
     if residual is not None and residual.shape != out_shape:
         raise DimensionError(f"{op}: residual {residual.shape} does not match the output {out_shape}")
 
@@ -218,17 +208,65 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None, residual: Optional[
     A residual shaped like the output is added into the GEMM output buffer
     after the bias: bitwise equal to add(residual, linear(x, w, b)), since
     IEEE addition commutes, without a second full-size array or node."""
-    _check_linear(x, w, b, residual, "linear")
+    _check_linear(x.shape, w, b, residual, "linear")
     return _gemm(x, w, b, "linear", residual)
 
 
-def gelu_linear(h: Tensor, w: Tensor, b: Optional[Tensor] = None, residual: Optional[Tensor] = None) -> Tensor:
-    """linear(gelu(h), w, b, residual) as one node, bitwise equal in the output and every gradient.
+def mlp(x: Tensor, w1: Tensor, b1: Optional[Tensor], w2: Tensor, b2: Optional[Tensor],
+        residual: Optional[Tensor] = None) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2, residual) as one node, bitwise
+    equal in the output and every gradient.
 
-    The node keeps h but not gelu(h): a graph holds one hidden-width array
-    per MLP instead of two."""
-    _check_linear(h, w, b, residual, "gelu_linear")
-    return _gemm(h, w, b, "gelu_linear", residual, gelu=True)
+    The node keeps x and the parameters but no hidden-width array. Its
+    forward applies gelu to the hidden array h in place and frees it after
+    the second GEMM. Its backward recomputes h with one GEMM, scales
+    g @ w2.T by gelu'(h) in place and writes gelu(h) over h (for w2's
+    gradient), so it holds at most two hidden-width arrays."""
+    _check_linear(x.shape, w1, b1, None, "mlp")
+    _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2, residual, "mlp")
+    k, n = w1.shape[0], w2.shape[1]
+    x2 = x.data.reshape(-1, k)
+
+    def fc1():
+        h = x2 @ w1.data
+        if b1 is not None:
+            h += b1.data
+        return h
+
+    act = fc1()
+    out = _gelu_into(act, act) @ w2.data
+    del act
+    if b2 is not None:
+        out += b2.data
+    if residual is not None:
+        out += residual.data.reshape(-1, n)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        hidden_grad = any(t is not None and t.requires_grad for t in (x, w1, b1))
+        act = fc1() if hidden_grad or w2.requires_grad else None
+        gh = g2 @ w2.data.T if hidden_grad else None
+        if gh is not None:
+            _gelu_grad_into(act, gh, gh, act if w2.requires_grad else None)
+        elif act is not None:
+            _gelu_into(act, act)
+        gw2 = act.T @ g2 if w2.requires_grad else None
+        del act
+        grads = [
+            (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None,
+            x2.T @ gh if w1.requires_grad else None,
+        ]
+        if b1 is not None:
+            grads.append(gh.sum(axis=0) if b1.requires_grad else None)
+        grads.append(gw2)
+        if b2 is not None:
+            grads.append(g2.sum(axis=0) if b2.requires_grad else None)
+        if residual is not None:
+            grads.append(g)  # handed through as it is, as add does
+        return grads
+
+    parents = tuple(t for t in (x, w1, b1, w2, b2, residual) if t is not None)
+    return _result(out.reshape(*x.shape[:-1], n), parents, bwd, "mlp")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -278,18 +316,19 @@ def gelu(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd, "gelu")
 
 
-# gelu and gelu_linear run their passes block by block over the flattened
-# array; every element still sees the same operations in the same order
+# gelu and mlp run their passes block by block over the flattened array;
+# every element still sees the same operations in the same order
 
 
 def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """gelu(x) = 0.5 * x * (1 + t) into out, a C-contiguous array of x's shape and dtype."""
+    """gelu(x) = 0.5 * x * (1 + t) into out, a C-contiguous array of x's shape
+    and dtype, which may be x itself."""
     xf, of = x.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
         xs, ys = xf[i : i + _GELU_BLOCK], of[i : i + _GELU_BLOCK]
         ts = _gelu_tanh(xs, scratch[: xs.size])
-        np.multiply(xs, 0.5, out=ys)
+        np.multiply(xs, 0.5, out=ys)  # x is read for the last time
         ts += 1.0
         ys *= ts
     return out
@@ -297,24 +336,29 @@ def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _gelu_grad_into(x: np.ndarray, g: np.ndarray, out: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """g * gelu'(x) into out, which may be g itself; with y, also gelu(x) into y
-    from the same tanh. out and y are C-contiguous arrays of x's shape and dtype."""
+    from the same tanh. y may be x itself: a fourth scratch block holds each
+    block's gelu(x) until the block's last read of x. out and y are
+    C-contiguous arrays of x's shape and dtype."""
     xf, gf, of = x.reshape(-1), g.reshape(-1), out.reshape(-1)
     yf = None if y is None else y.reshape(-1)
-    tanh, slope, inner = np.empty((3, min(xf.size, _GELU_BLOCK)), x.dtype)
+    scratch = np.empty((4 if y is x else 3, min(xf.size, _GELU_BLOCK)), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
         block = slice(i, i + _GELU_BLOCK)
         xs = xf[block]
-        ts, sl, di = _gelu_tanh(xs, tanh[: xs.size]), slope[: xs.size], inner[: xs.size]
+        ts, sl, di = _gelu_tanh(xs, scratch[0, : xs.size]), scratch[1, : xs.size], scratch[2, : xs.size]
         np.multiply(ts, ts, out=di)
         np.subtract(1.0, di, out=di)
         np.multiply(xs, 0.5, out=sl)
         ts += 1.0  # t is read for the last time
         if yf is not None:
-            np.multiply(sl, ts, out=yf[block])
+            ys = scratch[3, : xs.size] if y is x else yf[block]
+            np.multiply(sl, ts, out=ys)
         sl *= di
         ts *= 0.5
         np.multiply(xs, 3 * 0.044715, out=di)  # the derivative of the tanh argument
-        di *= xs
+        di *= xs  # x is read for the last time
+        if y is x:
+            yf[block] = ys
         di += 1.0
         di *= _GELU_C
         sl *= di

@@ -155,8 +155,14 @@ def _op_cases(rng):
     case("l2_normalize", [normed], lambda a=normed: T.l2_normalize(a))
     x, w, bb, r = leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 5)
     case("linear bias residual", [x, w, bb, r], lambda x=x, w=w, b=bb, r=r: T.linear(x, w, b, r))
-    x, w, bb, r = leaf(2, 3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 5)
-    case("gelu_linear bias residual", [x, w, bb, r], lambda x=x, w=w, b=bb, r=r: T.gelu_linear(x, w, b, r))
+    x, w1, b1, w2, b2 = leaf(2, 3, 4), leaf(4, 6), leaf(6), leaf(6, 5), leaf(5)
+    case("mlp", [x, w1, b1, w2, b2], lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2: T.mlp(x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2, r = leaf(2, 3, 4), leaf(4, 6), leaf(6), leaf(6, 5), leaf(5), leaf(2, 3, 5)
+    case(
+        "mlp residual",
+        [x, w1, b1, w2, b2, r],
+        lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2, r=r: T.mlp(x, w1, b1, w2, b2, r),
+    )
     q, k, v = leaf(2, 4, 6), leaf(2, 4, 6), leaf(2, 4, 6)
     lengths = rng.integers(1, 5, size=2)
     key_mask = np.where(np.arange(4)[None, :] < lengths[:, None], 0.0, -1e9)[:, None, None, :]

@@ -211,6 +211,26 @@ def test_vocabulary_serialization_roundtrip():
     assert again.token_to_id == vocab.token_to_id
 
 
+def test_vocabulary_splits_each_distinct_caption_once():
+    lowered = []
+
+    class Caption(str):  # hashes and compares as the plain string
+        def lower(self):
+            lowered.append(str(self))
+            return super().lower()
+
+    captions = [Caption("Red circle"), Caption("blue cross"), Caption("Red circle")] * 4
+    vocab = Vocabulary.build(captions)
+    assert sorted(lowered) == ["Red circle", "blue cross"]
+    assert vocab.ordered_tokens() == ["blue", "circle", "cross", "red"]
+
+
+def test_vocabulary_for_dataset_lists_every_word_in_sorted_order():
+    ds = generate_synthetic_corpus(40, 3, image_size=16, seed=5)
+    words = {w for r in ds.records for text in r.captions.values() for w in text.lower().split()}
+    assert Vocabulary.for_dataset(ds).ordered_tokens() == sorted(words)
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ spec.loader.exec_module(fold_bench)
 ENV = {"nproc": 2, "blas": "openblas 0.3.31", "src_nonblank_lines": 100}
 
 
-def write_result(directory, seed, throughput, rss, failed=0, src_lines=100, digest="d0", steps=True):
+def write_result(directory, seed, throughput, rss, failed=0, src_lines=100, digest="d0", steps=True, **env):
     directory.mkdir(parents=True, exist_ok=True)
     measured = {
         "setup_s": {"value": 1.0, "unit": "s"},
@@ -27,7 +27,7 @@ def write_result(directory, seed, throughput, rss, failed=0, src_lines=100, dige
         "attempted": 4,
         "failed": failed,
         "metrics": measured if failed == 0 else {},
-        "env": dict(ENV, src_nonblank_lines=src_lines),
+        "env": dict(ENV, src_nonblank_lines=src_lines, **env),
         "records": {"loss_digest": digest},
         "measured": measured,
     }
@@ -143,6 +143,7 @@ def test_main_prints_each_verdict_and_warns_of_unequal_digests(tmp_path, capsys)
     out = tmp_path / "BENCH_0.json"
     assert fold_bench.main([str(parent), str(change), str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
+        "src/ non-blank lines: parent 100 -> change 100 (+0)",
         "adapt_frozen_lion8 setup_s: parent 1 -> change 1 s, change won 0/4, within_bound",
         "adapt_frozen_lion8 run_s: parent 1 -> change 0.7879 s, change won 2/4, unresolved",
         "adapt_frozen_lion8 throughput_per_s: parent 100 -> change 130 1/s, change won 2/4, unresolved",
@@ -152,3 +153,37 @@ def test_main_prints_each_verdict_and_warns_of_unequal_digests(tmp_path, capsys)
     # the printed summary leaves the JSON file as it was
     spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     assert out.read_text() == json.dumps(fold_bench.fold(parent, change, spec), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("src_lines, expected", [(105, "(+5)"), (97, "(-3)")])
+def test_summary_prints_the_change_in_src_lines(tmp_path, capsys, src_lines, expected):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    write_result(parent, 1, 100, 100.0)
+    write_result(change, 1, 100, 100.0, src_lines=src_lines)
+    assert fold_bench.main([str(parent), str(change), str(tmp_path / "BENCH_0.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"src/ non-blank lines: parent 100 -> change {src_lines} {expected}"
+    assert not any(line.startswith("WARNING") for line in lines)  # src/ lines may differ
+
+
+@pytest.mark.parametrize(
+    "parent_env, change_env, expected",
+    [
+        ({}, {"nproc": 4}, "WARNING: the environments differ in nproc (parent 2, change 4)"),
+        (
+            {"blas_threads": 1, "numpy": "2.4.6"},
+            {"blas_threads": 2, "numpy": "2.4.6"},
+            "WARNING: the environments differ in blas_threads (parent 1, change 2)",
+        ),
+        ({}, {"blas": "mkl"}, "WARNING: the environments differ in blas (parent openblas 0.3.31, change mkl)"),
+        ({"numpy": "2.4.6"}, {}, "WARNING: the environments differ in numpy (parent 2.4.6, change -)"),
+    ],
+    ids=["nproc", "blas-threads", "blas", "numpy-missing"],
+)
+def test_summary_warns_when_the_environments_differ(tmp_path, capsys, parent_env, change_env, expected):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    write_result(parent, 1, 100, 100.0, **parent_env)
+    write_result(change, 1, 100, 100.0, src_lines=90, **change_env)
+    assert fold_bench.main([str(parent), str(change), str(tmp_path / "BENCH_0.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["src/ non-blank lines: parent 100 -> change 90 (-10)", expected]

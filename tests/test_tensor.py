@@ -182,52 +182,75 @@ def test_linear_residual_shape_error_names_the_shapes(r_shape):
     assert str(r_shape) in str(exc.value) and str((2, 5)) in str(exc.value)
 
 
-def _gelu_linear_leaves(x_shape, bias, residual, frozen, seed):
-    """Leaves h, w (, b) (, residual) in float32; the one at index frozen needs no gradient."""
+def _mlp_leaves(x_shape, hidden, bias, residual, frozen, seed):
+    """Leaves x, w1 (, b1), w2 (, b2) (, residual) in float32; the one named frozen needs no gradient."""
     rng = np.random.default_rng(seed)
-    shapes = [x_shape, (x_shape[-1], 5)] + ([(5,)] if bias else []) + ([x_shape[:-1] + (5,)] if residual else [])
-    arrays = [(rng.standard_normal(shape) * 2).astype(np.float32) for shape in shapes]
-    return [T.Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+    shapes = {"x": x_shape, "w1": (x_shape[-1], hidden)}
+    if bias:
+        shapes["b1"] = (hidden,)
+    shapes["w2"] = (hidden, 5)
+    if bias:
+        shapes["b2"] = (5,)
+    if residual:
+        shapes["residual"] = x_shape[:-1] + (5,)
+    return {
+        name: T.Tensor((rng.standard_normal(shape) * 2).astype(np.float32), requires_grad=name != frozen)
+        for name, shape in shapes.items()
+    }
 
 
-@pytest.mark.parametrize("frozen", [None, 0, 1], ids=["all-grad", "h-frozen", "w-frozen"])
+@pytest.mark.parametrize("frozen", [None, "x", "w1", "w2"], ids=["all-grad", "x-frozen", "w1-frozen", "w2-frozen"])
 @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
-@pytest.mark.parametrize("x_shape", [(6, 8), (3, 200, 64)], ids=["2d", "3d-two-gelu-blocks"])
-def test_gelu_linear_bitwise_equals_linear_of_gelu(x_shape, bias, residual, frozen):
-    seed = [len(x_shape), bias, residual, 2 if frozen is None else frozen]
+@pytest.mark.parametrize(
+    "x_shape, hidden", [((6, 8), 12), ((3, 200, 16), 64)], ids=["2d", "3d-two-gelu-blocks"]
+)
+def test_mlp_bitwise_equals_chain(x_shape, hidden, bias, residual, frozen):
+    # the chain linear -> gelu -> linear; the 3-D case's hidden array spans two gelu blocks
+    assert (math.prod(x_shape[:-1]) * hidden > T._GELU_BLOCK) == (len(x_shape) == 3)
+    seed = [len(x_shape), bias, residual, [None, "x", "w1", "w2"].index(frozen)]
     g = np.random.default_rng(seed + [1]).standard_normal(x_shape[:-1] + (5,)).astype(np.float32)
     outcomes = []
     for fused in (True, False):
-        leaves = _gelu_linear_leaves(x_shape, bias, residual, frozen, seed)
-        h, w, *rest = leaves
-        b = rest.pop(0) if bias else None
-        r = rest.pop(0) if residual else None
-        out = T.gelu_linear(h, w, b, r) if fused else T.linear(T.gelu(h), w, b, r)
+        leaves = _mlp_leaves(x_shape, hidden, bias, residual, frozen, seed)
+        x, w1, b1, w2, b2, r = (leaves.get(name) for name in ("x", "w1", "b1", "w2", "b2", "residual"))
+        if fused:
+            out = T.mlp(x, w1, b1, w2, b2, r)
+        else:
+            out = T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2, r)
         T.sum_(T.mul(out, T.Tensor(g))).backward()
-        outcomes.append([out.data] + [leaf.grad for leaf in leaves])
+        outcomes.append([out.data] + [leaf.grad for leaf in leaves.values()])
     fused, reference = outcomes
     assert fused[0].dtype == np.float32 and fused[0].shape == x_shape[:-1] + (5,)
     assert [a is None for a in fused] == [a is None for a in reference]
-    assert [i for i, a in enumerate(fused) if a is None] == ([] if frozen is None else [frozen + 1])
+    missing = [name for name, a in zip(leaves, fused[1:]) if a is None]
+    assert missing == ([] if frozen is None else [frozen])
     assert all(a is None or (a.dtype == np.float32 and np.array_equal(a, r)) for a, r in zip(fused, reference))
 
 
 @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
-def test_gelu_linear_gradcheck(residual):
+def test_mlp_gradcheck(residual):
     rng = np.random.default_rng([residual, 25])
     for _ in range(N_INSTANCES):
-        arrays = [rng.uniform(-2, 2, (2, 3, 4)), rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (5,))]
+        arrays = [rng.uniform(-2, 2, (2, 3, 4)), rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (6,))]
+        arrays += [rng.uniform(-1, 1, (6, 5)), rng.uniform(-1, 1, (5,))]
         if residual:
             arrays.append(rng.uniform(-1, 1, (2, 3, 5)))
         w = rng.uniform(-1, 1, (2, 3, 5))
-        _gradcheck(lambda ts: _weighted_scalar(T.gelu_linear(*ts), w), arrays)
+        _gradcheck(lambda ts: _weighted_scalar(T.mlp(*ts), w), arrays)
 
 
-def test_gelu_linear_shape_error_names_the_op_and_shapes():
+@pytest.mark.parametrize(
+    "w1_shape, w2_shape, r_shape",
+    [((4, 6), (6, 5), None), ((3, 6), (7, 5), None), ((3, 6), (6, 5), (2, 4))],
+    ids=["first-layer", "second-layer", "residual"],
+)
+def test_mlp_shape_error_names_the_op_and_shapes(w1_shape, w2_shape, r_shape):
+    r = None if r_shape is None else T.Tensor(np.zeros(r_shape))
     with pytest.raises(DimensionError) as exc:
-        T.gelu_linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
-    assert "gelu_linear" in str(exc.value) and str((2, 3)) in str(exc.value) and str((4, 5)) in str(exc.value)
+        T.mlp(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(w1_shape)), None, T.Tensor(np.zeros(w2_shape)), None, r)
+    bad = r_shape or (w1_shape if w1_shape[0] != 3 else w2_shape)
+    assert "mlp" in str(exc.value) and str(bad) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +479,24 @@ def test_gelu_blocks_bitwise_equal_one_pass(dtype):
     assert np.array_equal(a.grad, g * local)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_helpers_in_place_bitwise_equal_separate_buffers(dtype):
+    # over two blocks plus a ragged tail
+    rng = np.random.default_rng(41)
+    x = (rng.standard_normal(2 * T._GELU_BLOCK + 77) * 3).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    y, grad = np.empty_like(x), np.empty_like(x)
+    T._gelu_grad_into(x, g, grad, y)
+    forward = T._gelu_into(x, np.empty_like(x))
+    assert np.array_equal(forward, y)
+
+    inplace = x.copy()
+    assert T._gelu_into(inplace, inplace) is inplace and np.array_equal(inplace, forward)
+    inplace, grad_inplace = x.copy(), g.copy()
+    T._gelu_grad_into(inplace, grad_inplace, grad_inplace, inplace)  # out is g, y is x
+    assert np.array_equal(grad_inplace, grad) and np.array_equal(inplace, y)
+
+
 def test_exp_clamp_gradcheck():
     for _ in range(N_INSTANCES):
         x = RNG.uniform(-1, 1, (4,))
@@ -655,6 +696,17 @@ def _bytes_kept_by(build):
         tracemalloc.stop()
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates beyond what is live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
 def test_gelu_node_keeps_only_its_input_and_output(transposed):
     x = RNG.standard_normal((256, 1024)).astype(np.float32)
@@ -664,16 +716,31 @@ def test_gelu_node_keeps_only_its_input_and_output(transposed):
     assert extra < 4096, f"gelu node keeps {extra} B beyond its input and output"
 
 
+def _mlp_tensors(rows, k, hidden, n, residual):
+    rng = np.random.default_rng([rows, hidden, residual])
+    shapes = [(rows, k), (k, hidden), (hidden,), (hidden, n), (n,)] + ([(rows, n)] if residual else [])
+    return [T.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True) for shape in shapes]
+
+
 @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
-def test_gelu_linear_node_keeps_no_gelu_output(residual):
-    # gelu(h) is 1 MiB here; the node may keep h and its output, nothing of gelu(h)'s size
-    h = T.Tensor(RNG.standard_normal((256, 1024)).astype(np.float32), requires_grad=True)
-    w = T.Tensor(RNG.standard_normal((1024, 8)).astype(np.float32), requires_grad=True)
-    b = T.Tensor(RNG.standard_normal(8).astype(np.float32), requires_grad=True)
-    r = T.Tensor(RNG.standard_normal((256, 8)).astype(np.float32), requires_grad=True) if residual else None
-    out, kept = _bytes_kept_by(lambda: T.gelu_linear(h, w, b, r))
+def test_mlp_node_keeps_only_its_input(residual):
+    # the hidden array is 1 MiB here; the node may keep its input and output, nothing of hidden width
+    tensors = _mlp_tensors(256, 32, 1024, 8, residual)
+    out, kept = _bytes_kept_by(lambda: T.mlp(*tensors))
     extra = kept - out.data.nbytes
-    assert extra < 4096, f"gelu_linear node keeps {extra} B beyond its input and output"
+    assert extra < 4096, f"mlp node keeps {extra} B beyond its input and output"
+
+
+@pytest.mark.parametrize("w2_grad", [True, False], ids=["w2-grad", "w2-frozen"])
+def test_mlp_backward_holds_at_most_two_hidden_arrays(w2_grad):
+    rows, hidden = 4096, 256
+    tensors = _mlp_tensors(rows, 64, hidden, 64, False)
+    tensors[3].requires_grad = w2_grad
+    out = T.mlp(*tensors)
+    g = np.ones(out.shape, np.float32)
+    peak = _traced_peak(lambda: out._backward(g))
+    hidden_bytes = rows * hidden * 4  # 4 MiB
+    assert peak <= 2 * hidden_bytes + (1 << 20), f"mlp backward peaked at {peak} B"
 
 
 def test_layer_norm_node_keeps_only_row_statistics_beyond_input_and_output():

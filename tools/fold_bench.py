@@ -20,9 +20,11 @@ every per-layer metric both measured, side by side.  It also records each
 side's environment line (cores, BLAS, python, numpy, ``src/`` non-blank
 lines) as the runs saved it.  Standard library only.
 
-Standard output gets one line per workload and end-to-end metric (both
-medians, the pairs the change won and the verdict) and a ``WARNING`` line for
-each ``records`` digest that was not equal in every pair.
+Standard output gets the change in ``src/`` non-blank lines, a ``WARNING``
+line if the sides' environment lines differ in anything else, one line per
+workload and end-to-end metric (both medians, the pairs the change won and the
+verdict) and a ``WARNING`` line for each ``records`` digest that was not equal
+in every pair.
 """
 
 from __future__ import annotations
@@ -167,10 +169,33 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
     }
 
 
-def summary_lines(folded: dict) -> list:
-    """The verdict line of each workload and end-to-end metric, and a warning
-    for each digest that differed in some pair."""
+def _env_values(envs) -> dict:
+    """{key: the distinct values one side's environment lines hold for it, joined by '/'}"""
+    return {key: "/".join(sorted({str(e.get(key, "-")) for e in envs})) for key in {k for e in envs for k in e}}
+
+
+def env_lines(env: dict) -> list:
+    """The change in ``src/`` non-blank lines, and a warning if the sides'
+    environment lines differ in anything else (cores, BLAS, its threads, numpy ...)."""
+    parent, change = (_env_values(env[side]) for side in ("parent", "change"))
     lines = []
+    p, c = parent.get("src_nonblank_lines", ""), change.get("src_nonblank_lines", "")
+    if p.isdigit() and c.isdigit():
+        lines.append(f"src/ non-blank lines: parent {p} -> change {c} ({int(c) - int(p):+d})")
+    differing = [
+        f"{key} (parent {parent.get(key, '-')}, change {change.get(key, '-')})"
+        for key in sorted((parent.keys() | change.keys()) - {"src_nonblank_lines"})
+        if parent.get(key) != change.get(key)
+    ]
+    if differing:
+        lines.append("WARNING: the environments differ in " + "; ".join(differing))
+    return lines
+
+
+def summary_lines(folded: dict) -> list:
+    """The sides' ``env_lines``, the verdict line of each workload and
+    end-to-end metric, and a warning for each digest that differed in some pair."""
+    lines = env_lines(folded["env"])
     for workload, entry in folded["workloads"].items():
         for name, m in entry["metrics"].items():
             lines.append(
