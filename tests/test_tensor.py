@@ -228,6 +228,43 @@ def test_mlp_bitwise_equals_chain(x_shape, hidden, bias, residual, frozen):
     assert all(a is None or (a.dtype == np.float32 and np.array_equal(a, r)) for a, r in zip(fused, reference))
 
 
+def _gelu_linear_leaves(x_shape, bias, residual, frozen, seed):
+    """Leaves h, w (, b) (, residual) in float32; the one at index frozen needs no gradient."""
+    rng = np.random.default_rng(seed)
+    shapes = [x_shape, (x_shape[-1], 5)] + ([(5,)] if bias else []) + ([x_shape[:-1] + (5,)] if residual else [])
+    arrays = [(rng.standard_normal(shape) * 2).astype(np.float32) for shape in shapes]
+    return [T.Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+
+
+@pytest.mark.parametrize("frozen", [None, 0, 1], ids=["all-grad", "h-frozen", "w-frozen"])
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("x_shape", [(6, 8), (3, 200, 64)], ids=["2d", "3d-two-gelu-blocks"])
+def test_gelu_linear_bitwise_equals_linear_of_gelu(x_shape, bias, residual, frozen):
+    # mlp's gelu -> fc2 half: with a constant identity w1 and no b1, fc1 hands h
+    # through exactly (each GEMM entry is h times 1 plus zeros), so mlp(h, I, None,
+    # w, b, r) matches linear(gelu(h), w, b, r) bit for bit, h's gradient included
+    assert (math.prod(x_shape) > T._GELU_BLOCK) == (len(x_shape) == 3)
+    seed = [len(x_shape), bias, residual, 2 if frozen is None else frozen]
+    g = np.random.default_rng(seed + [1]).standard_normal(x_shape[:-1] + (5,)).astype(np.float32)
+    identity = T.Tensor(np.eye(x_shape[-1], dtype=np.float32))
+    outcomes = []
+    for fused in (True, False):
+        leaves = _gelu_linear_leaves(x_shape, bias, residual, frozen, seed)
+        h, w, *rest = leaves
+        b = rest.pop(0) if bias else None
+        r = rest.pop(0) if residual else None
+        out = T.mlp(h, identity, None, w, b, r) if fused else T.linear(T.gelu(h), w, b, r)
+        T.sum_(T.mul(out, T.Tensor(g))).backward()
+        outcomes.append([out.data] + [leaf.grad for leaf in leaves])
+    assert identity.grad is None
+    fused, reference = outcomes
+    assert fused[0].dtype == np.float32 and fused[0].shape == x_shape[:-1] + (5,)
+    assert [a is None for a in fused] == [a is None for a in reference]
+    assert [i for i, a in enumerate(fused) if a is None] == ([] if frozen is None else [frozen + 1])
+    assert all(a is None or (a.dtype == np.float32 and np.array_equal(a, r)) for a, r in zip(fused, reference))
+
+
 @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
 def test_mlp_gradcheck(residual):
     rng = np.random.default_rng([residual, 25])
