@@ -245,6 +245,7 @@ def evaluate(
             f" {sorted(languages)}, dataset has {sorted(dataset.languages)}"
         )
 
+    model = M.frozen(model)  # no forward records a graph, whatever the caller's requires_grad
     pixels = pixel_batch(records)
     image_emb = _batched(
         lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size

@@ -247,15 +247,11 @@ def _patchify(images: np.ndarray, patch: int) -> np.ndarray:
 def _pooled_in_blocks(model: DualEncoderModel, tower: str, items: int, rows_per_item: int, forward) -> T.Tensor:
     """``forward(a, b)``, the pooled rows of items a..b-1, for all ``items``.
 
-    When no parameter of ``tower`` records a graph, the tower runs over
-    blocks of at most ``ROW_BLOCK`` token rows and the pooled rows are
-    concatenated: each row depends only on its own item, so the result is
-    bitwise the one-call result, without batch-wide temporaries.
+    A tower that does not train runs over blocks of at most ``ROW_BLOCK``
+    token rows, with no batch-wide temporaries; each pooled row depends only
+    on its own item, so their concatenation is bitwise the one-call result.
     """
-    prefix = f"{tower}/"
-    if items * rows_per_item <= ROW_BLOCK or any(
-        p.requires_grad for n, p in model.params.items() if n.startswith(prefix)
-    ):
+    if items * rows_per_item <= ROW_BLOCK or trains(model, tower):
         return forward(0, items)
     step = max(1, ROW_BLOCK // rows_per_item)
     rows = np.concatenate([forward(a, min(a + step, items)).data for a in range(0, items, step)])
@@ -384,6 +380,17 @@ def apply_freeze(model: DualEncoderModel, regime: FreezeRegime) -> None:
         else:
             raise ConfigError(f"unknown freeze regime {regime!r}")
         model.params[name].requires_grad = trainable
+
+
+def frozen(model: DualEncoderModel) -> DualEncoderModel:
+    """The same parameter arrays with ``requires_grad`` off: its forwards record no graph."""
+    params = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in model.params.items()}
+    return DualEncoderModel(model.config, params=params)
+
+
+def trains(model: DualEncoderModel, tower: str) -> bool:
+    """Whether any parameter of ``tower`` ("image" or "text") has ``requires_grad``."""
+    return any(p.requires_grad for n, p in model.params.items() if n.startswith(f"{tower}/"))
 
 
 def count_parameters(model: DualEncoderModel) -> dict:
@@ -531,8 +538,7 @@ def read_checkpoint(path):
     """(model, optimizer name, OptimizerState) of a file written by
     ``save_checkpoint``; the last two are None in a file without optimizer state.
 
-    The parameters come back frozen (``requires_grad`` False), so the model
-    embeds without recording a graph; call ``apply_freeze`` before training it.
+    The parameters come back frozen (``requires_grad`` False); ``apply_freeze`` trains them.
     """
     header, arrays = read_tensor_file(path)
     try:

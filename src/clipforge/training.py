@@ -225,12 +225,10 @@ def batch_loss(
 
 
 def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=None) -> float:
-    # the same arrays with requires_grad off: no validation batch keeps a graph
-    params = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in model.params.items()}
-    frozen = M.DualEncoderModel(model.config, params=params)
+    model = M.frozen(model)  # no validation batch keeps a graph
     total, count = 0.0, 0
     for batch in _iter_batches(records, batch_size):
-        loss = float(batch_loss(frozen, batch, choices, vocab, image_cache=image_cache).data)
+        loss = float(batch_loss(model, batch, choices, vocab, image_cache=image_cache).data)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:
@@ -388,8 +386,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     # looked up per run, so a wrapper set on the module attribute (perfbench's) sees every step
     step_fn = getattr(optim, f"{config.optimizer}_step")
     # a frozen image tower maps each record to the same pooled row all run long
-    frozen_images = not any(name.startswith("image/") for name in trainable)
-    image_cache = {} if frozen_images else None
+    image_cache = None if M.trains(model, "image") else {}
 
     total_steps = config.epochs * sum(1 for _ in _iter_batches(train_records, config.batch_size))
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"
