@@ -20,6 +20,7 @@ from pathlib import Path
 from . import evaluation as E
 from . import model as M
 from .data import (
+    SPLIT_NAME,
     Dataset,
     Vocabulary,
     aesthetic_filter,
@@ -193,12 +194,16 @@ def cmd_eval(args) -> int:
         "baseline": args.baseline or "",
     }
     dataset_id = manifest_digest(args.dataset)
+    split_digest = {}  # a split file decides which records a split holds; "all" reads none
+    if args.split != "all":
+        split_digest["split_digest"] = file_sha256(Path(args.dataset) / SPLIT_NAME)
     # hash content digests instead of paths so identical runs in different
     # directories produce byte-identical reports
     identity = dict(
         effective,
         checkpoint=file_sha256(args.checkpoint)[:12],
         dataset=dataset_id,
+        **split_digest,
     )
     config_hash = hashlib.sha256(key_value_text(identity).encode("utf-8")).hexdigest()[:12]
     metadata = {
@@ -207,6 +212,7 @@ def cmd_eval(args) -> int:
         "dataset_id": dataset_id,
         "run_id": str(model.metadata.get("run_id", "")),
         "split": args.split,
+        **split_digest,
     }
     report = E.evaluate(
         model,
@@ -293,10 +299,12 @@ def cmd_report(args) -> int:
         raise ConfigError(f"need at least 2 runs to compare, got {len(run_dirs)}")
     loaded = [_load_run(run_dir) for run_dir in run_dirs]
     dataset_ids = {report.metadata.get("dataset_id", "") for _, report in loaded}
-    if len(dataset_ids) > 1 and not args.allow_mixed:
+    # an eval of split "all" reads no split file, so it carries no split digest
+    split_digests = {r.metadata["split_digest"] for _, r in loaded if "split_digest" in r.metadata}
+    if (len(dataset_ids) > 1 or len(split_digests) > 1) and not args.allow_mixed:
         raise ConfigError(
-            f"runs were evaluated on {len(dataset_ids)} different datasets;"
-            " pass --allow-mixed to compare anyway"
+            f"runs were evaluated on different record sets ({len(dataset_ids)} datasets,"
+            f" {len(split_digests)} split files); pass --allow-mixed to compare anyway"
         )
     out = Path(args.output).resolve()
     out.mkdir(parents=True, exist_ok=True)

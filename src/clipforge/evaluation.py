@@ -236,13 +236,13 @@ def evaluate(
     records = dataset.records
     if not records:
         raise EvaluationError("dataset has no records")
-    if languages is None:
-        languages = list(dataset.languages)
-    shared = [lang for lang in languages if lang in dataset.languages]
-    if not shared:
+    languages = list(dataset.languages) if languages is None else list(languages)
+    if not languages:
+        raise EvaluationError("no language to evaluate")
+    missing = [lang for lang in languages if lang not in dataset.languages]
+    if missing:
         raise EvaluationError(
-            f"no requested language is present in the dataset; asked for"
-            f" {sorted(languages)}, dataset has {sorted(dataset.languages)}"
+            f"languages not in the dataset: {missing}; it has {sorted(dataset.languages)}"
         )
 
     model = M.frozen(model)  # no forward records a graph, whatever the caller's requires_grad
@@ -254,7 +254,7 @@ def evaluate(
     max_len = model.config.max_text_len
     rows = {}
     covered = False
-    for language in shared:
+    for language in languages:
         distinct, row_of, owners = {}, [], []  # distinct: caption -> row, in first-occurrence order
         for index, record in enumerate(records):
             captions = _captions_of(record, language)

@@ -1,13 +1,15 @@
 """Minimal reverse-mode autodiff engine on dense numpy arrays.
 
-Covers exactly the operations a small pre-norm transformer dual encoder needs:
-matmul, linear (matmul plus bias, optionally plus a residual added into the
-GEMM output buffer), mlp (linear, gelu, linear as one node that keeps only its
+Covers the operations a small pre-norm transformer dual encoder composes:
+linear (matmul plus bias, optionally plus a residual added into the GEMM
+output buffer), mlp (linear, gelu, linear as one node that keeps only its
 input and parameters and recomputes the hidden array in its backward),
-elementwise arithmetic with trailing-shape broadcast, gelu, embedding lookup,
-reshape/axis swap, reductions, layer norm, softmax, multi-head attention (one
-node from q/k/v to the merged heads), softmax cross entropy, masked mean
-pooling and L2 normalization.
+elementwise arithmetic with trailing-shape broadcast, embedding lookup, row
+narrowing, axis swap, layer norm, multi-head attention (one node from q/k/v to
+the merged heads), the 2-D matmul of the similarity matrix, softmax cross
+entropy, masked mean pooling and L2 normalization.  ``reshape``, ``softmax``,
+``sum_``, ``mean_``, ``gelu`` and ``matmul``'s batched branch are called by no
+model code: the tests and the benchmark use them.
 
 Arrays are float32 by default. Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves runs end to end in float64 (used by the

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from clipforge import cli, errors
-from clipforge.data import MANIFEST_NAME, SPLIT_NAME, Vocabulary, load_dataset, load_split
+from clipforge.data import MANIFEST_NAME, SPLIT_NAME, Vocabulary, load_dataset, load_split, save_split
 from clipforge.evaluation import METRIC_NAMES, read_report_jsonl
 
 
@@ -285,6 +285,43 @@ def test_eval_baseline_errors(run_dir, dataset_dir, tmp_path, capsys):
     assert code == 1 and err.startswith("E_COMPARISON: ")
 
 
+def test_eval_refuses_a_language_the_dataset_lacks(run_dir, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "e"
+    code, stdout, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(out), "--languages", "eng_Latn,typo_Latn",
+    )
+    assert code == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
+    assert "typo_Latn" in err and "average" not in stdout
+    assert not (out / "report.csv").exists()
+
+
+def test_eval_identity_covers_the_split_file(run_dir, dataset_dir, tmp_path, capsys):
+    # one manifest, two split files: the val records differ, so do the identities
+    other = shutil.copytree(dataset_dir, tmp_path / "resplit")
+    train_ids, val_ids = load_split(other)
+    save_split(other, train_ids + val_ids[:3], val_ids[3:])
+    runs = []
+    for data in (dataset_dir, other):
+        out = shutil.copytree(run_dir, tmp_path / f"run-{data.name}")
+        assert run(capsys, "eval", "--checkpoint", str(out / "best.nclp"), "--dataset",
+                   str(data), "--output", str(out), "--split", "val")[0] == 0
+        runs.append(read_report_jsonl(out / "report.jsonl").metadata)
+    assert runs[0]["dataset_id"] == runs[1]["dataset_id"]
+    assert runs[0]["split_digest"] != runs[1]["split_digest"]
+    assert runs[0]["config_hash"] != runs[1]["config_hash"]
+    argv = ["report", "--runs", str(tmp_path / f"run-{dataset_dir.name}"),
+            str(tmp_path / "run-resplit"), "--output", str(tmp_path / "r")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("E_CONFIG: ") and "--allow-mixed" in err
+    assert run(capsys, *argv, "--allow-mixed")[0] == 0
+    # split "all" reads no split file
+    out = tmp_path / "all"
+    assert run(capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
+               str(other), "--output", str(out), "--split", "all")[0] == 0
+    assert "split_digest" not in read_report_jsonl(out / "report.jsonl").metadata
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -415,6 +452,21 @@ def test_train_on_a_corpus_missing_a_pixel_file_is_refused(dataset_dir, tmp_path
     pixel = data / "pixels" / f"{load_split(data)[0][0]}.rgb"
     pixel.unlink()
     _refused_in_one_line(capsys, train_args(data, tmp_path / "run"), "E_DATASET_FORMAT", pixel)
+
+
+def test_a_pixel_array_of_another_shape_is_refused_by_train_and_eval(run_dir, dataset_dir, tmp_path, capsys):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    odd = load_split(data)[0][1]  # a training record, not the manifest's first
+    assert odd != load_dataset(data).records[0].id
+    (data / "pixels" / f"{odd}.rgb").write_bytes(bytes(8 * 8 * 3))
+    for argv in (
+        train_args(data, tmp_path / "run"),
+        ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
+         "--output", str(tmp_path / "e"), "--split", "all"],
+    ):
+        status, _, err = run(capsys, *argv)
+        assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
+        assert f"record {odd}: pixel array of shape (8, 8, 3)" in err
 
 
 def test_a_split_naming_an_unknown_record_is_refused_by_eval_and_train(run_dir, dataset_dir, tmp_path, capsys):

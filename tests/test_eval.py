@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +360,54 @@ def test_evaluate_language_selection_and_errors():
     with pytest.raises(EvaluationError):
         # vocabulary shares no token with the captions
         evaluate(model, ds, Vocabulary.from_tokens(["zzz", "qqq"]), languages=["eng_Latn"])
+
+
+def _traced_peak(call):
+    """(result, peak bytes) of ``call()`` beyond what is live before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("regime", ["full", "text-encoder"])
+def test_evaluate_runs_graph_free_for_a_trainable_model(regime):
+    # 256 images of 16 patches: a graph-recording image forward holds 4096-row
+    # activations, a graph-free one runs in blocks of M.ROW_BLOCK rows
+    ds = generate_synthetic_corpus(256, 2, image_size=32, seed=8)
+    vocab = Vocabulary.for_dataset(ds)
+    model = M.DualEncoderModel(M.ModelConfig.from_presets("b-b", vocab.size, 16), init_seed=8)
+    M.apply_freeze(model, M.FreezeRegime(regime))
+    flags = {name: p.requires_grad for name, p in model.params.items()}
+    frozen_report, frozen_peak = _traced_peak(lambda: evaluate(M.frozen(model), ds, vocab))
+    report, peak = _traced_peak(lambda: evaluate(model, ds, vocab))
+    assert report == frozen_report
+    assert {name: p.requires_grad for name, p in model.params.items()} == flags
+    assert all(p.grad is None for p in model.params.values())
+    assert peak < 1.1 * frozen_peak + 2**16, (peak, frozen_peak)
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    # the snippet as printed, at tiny size: b-b, one epoch, 60 images
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for old, new in {
+        "n_images=500": "n_images=60",
+        "epochs=2": 'epochs=1, preset="b-b", batch_size=16',
+    }.items():
+        assert snippet.count(old) == 1, old
+        snippet = snippet.replace(old, new)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    report, model = namespace["report"], namespace["result"].model
+    assert len(report.rows) == 4 and np.isfinite(report.average.r_at_1)
+    # evaluate froze nothing of the trained model and left it no gradient
+    assert all(p.requires_grad and p.grad is None for p in model.params.values())
 
 
 def two_caption_dataset(n, seed):

@@ -391,6 +391,29 @@ def test_freeze_text_encoder_freezes_image_tower():
         assert p.requires_grad == (not name.startswith("image/"))
 
 
+@pytest.mark.parametrize(
+    "regime, towers",
+    [(FreezeRegime.FULL, (True, True)), (FreezeRegime.TEXT_ENCODER, (False, True)),
+     (FreezeRegime.PROJECTION_ONLY, (False, False))],
+    ids=["full", "text-encoder", "projection"],
+)
+def test_frozen_view_shares_arrays_and_trains_no_tower(regime, towers):
+    model = DualEncoderModel(micro_config(), init_seed=1)
+    apply_freeze(model, regime)
+    flags = {name: p.requires_grad for name, p in model.params.items()}
+    assert (M.trains(model, "image"), M.trains(model, "text")) == towers
+    view = M.frozen(model)
+    assert view.config == model.config and list(view.params) == list(model.params)
+    assert all(view.params[n].data is p.data for n, p in model.params.items())
+    assert not any(p.requires_grad for p in view.params.values())
+    assert not M.trains(view, "image") and not M.trains(view, "text")
+    assert {name: p.requires_grad for name, p in model.params.items()} == flags
+    images = np.random.default_rng(2).integers(0, 256, size=(3, 3, 8, 8), dtype=np.uint8)
+    out = encode_image(view, images)
+    assert out._parents == () and out._backward is None
+    assert np.array_equal(out.data, encode_image(model, images).data)
+
+
 def test_freeze_projection_only_counts():
     cfg = micro_config()
     model = DualEncoderModel(cfg, init_seed=1)

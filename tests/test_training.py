@@ -722,6 +722,27 @@ def test_validation_loss_builds_no_graph(dataset_dir, monkeypatch):
     assert all(p.requires_grad for p in model.params.values())
 
 
+def test_validation_loss_of_a_trainable_model_equals_its_frozen_view(dataset_dir):
+    model, records, choices, vocab = frozen_batch(dataset_dir, 60, "text-encoder")
+    flags = {name: p.requires_grad for name, p in model.params.items()}
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            return call(), tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    expected, frozen_peak = traced(lambda: training.dataset_loss(M.frozen(model), records, choices, vocab, 60))
+    loss, peak = traced(lambda: training.dataset_loss(model, records, choices, vocab, 60))
+    assert loss == expected
+    assert {name: p.requires_grad for name, p in model.params.items()} == flags
+    assert all(p.grad is None for p in model.params.values())
+    assert peak < 1.1 * frozen_peak + 2**16, (peak, frozen_peak)
+
+
 def test_non_finite_loss_aborts(dataset_dir, tmp_path, monkeypatch):
     def poisoned(model, records, choices, vocab, **_):
         return T.Tensor(np.float32(np.nan))
