@@ -67,16 +67,18 @@ class CaptionedImage:
 
 
 def pixel_batch(records) -> np.ndarray:
-    """Stack the records' images as a uint8 [batch, 3, H, W] array; images of
-    another shape than the first record's are refused."""
+    """Stack the records' images as a uint8 [batch, 3, H, W] array; the first
+    image whose shape is not the batch's most common one is refused."""
     images = [r.get_pixels() for r in records]
     try:
         return np.stack(images).transpose(0, 3, 1, 2)
     except ValueError:  # checked only when the stack fails: the hot path stays one call
-        odd = next(i for i, image in enumerate(images) if image.shape != images[0].shape)
+        shapes = [image.shape for image in images]
+        common = max(set(shapes), key=shapes.count)
+        odd = next(i for i, shape in enumerate(shapes) if shape != common)
         raise DatasetFormatError(
-            f"record {records[odd].id}: pixel array of shape {images[odd].shape}, but record"
-            f" {records[0].id}'s is {images[0].shape}"
+            f"record {records[odd].id}: pixel array of shape {shapes[odd]}, where the"
+            f" batch's other records mostly have {common}"
         ) from None
 
 

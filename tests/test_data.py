@@ -18,6 +18,7 @@ from clipforge.data import (
     load_dataset,
     load_split,
     manifest_digest,
+    pixel_batch,
     read_pixel_file,
     sample_epoch,
     save_dataset,
@@ -401,6 +402,15 @@ def test_pixel_file_size_validation(tmp_path):
     bad.write_bytes(b"\x00" * (5 * 7 * 3))  # not square
     with pytest.raises(DatasetFormatError):
         read_pixel_file(bad)
+
+
+@pytest.mark.parametrize("odd", [0, 2], ids=["first", "middle"])
+def test_pixel_batch_names_the_record_of_another_shape(odd):
+    records = [rec(i, 5.0) for i in range(4)]
+    records[odd].pixels = np.zeros((4, 4, 3), dtype=np.uint8)
+    with pytest.raises(DatasetFormatError, match=rf"^record r{odd}: pixel array of shape \(4, 4, 3\)"):
+        pixel_batch(records)
+    assert pixel_batch(records[odd + 1 :]).shape == (3 - odd, 3, 8, 8)
 
 
 def test_split_file_roundtrip(tmp_path):
