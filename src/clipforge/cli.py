@@ -170,12 +170,6 @@ def cmd_eval(args) -> int:
             f" the {vocab.size} this dataset yields; evaluate against the dataset the model"
             " was trained on"
         )
-    side = dataset.records[0].get_pixels().shape[0] if dataset.records else 0
-    if side != model.config.image_size:
-        raise EvaluationError(
-            f"image size mismatch: checkpoint expects {model.config.image_size}px,"
-            f" dataset has {side}px"
-        )
     records = _select_records(dataset, args.dataset, args.split)
     subset = Dataset(records=records, languages=list(dataset.languages))
     languages = [part for part in args.languages.split(",") if part] if args.languages else None
@@ -188,7 +182,6 @@ def cmd_eval(args) -> int:
         "dataset": str(Path(args.dataset).resolve()),
         "split": args.split,
         "direction": args.direction,
-        "caption_mode": args.caption_mode,
         "languages": ",".join(languages or []),
         "k": args.k,
         "baseline": args.baseline or "",
@@ -219,7 +212,6 @@ def cmd_eval(args) -> int:
         subset,
         vocab,
         direction=args.direction,
-        caption_mode=args.caption_mode,
         languages=languages,
         metadata=metadata,
     )
@@ -384,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
     p.add_argument("--direction", choices=E.DIRECTIONS, default=E.TEXT_TO_IMAGE)
-    p.add_argument("--caption-mode", choices=E.CAPTION_MODES, default=E.FIRST_CAPTION)
     p.add_argument("--languages", default="", help="comma-separated language subset")
     p.add_argument("--k", default="1,5,10", help="recall/MRR cutoffs (fixed set)")
     p.add_argument("--baseline", default="", help="published table to compare: <source>:<model>")

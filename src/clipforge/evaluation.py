@@ -1,7 +1,9 @@
 """Retrieval metrics, per-language reports, and published-baseline comparison.
 
-The primitive is the 1-based rank of the first relevant candidate under
-descending inner-product score (ties broken by ascending candidate index).
+A record holds one caption string per language, so in ``evaluate`` query i's
+relevant candidate is candidate i in either direction.  The primitive is the
+1-based rank of the best-ranked relevant candidate under descending
+inner-product score (ties broken by ascending candidate index).
 Recall@K and MRR@K are pure functions of those ranks.  Reports carry one row
 per language plus an average row that is the exact arithmetic mean of the
 language rows; rounding to two decimals happens only at serialization time.
@@ -28,10 +30,6 @@ from .errors import ComparisonError, ConfigError, EvaluationError
 TEXT_TO_IMAGE = "text_to_image"
 IMAGE_TO_TEXT = "image_to_text"
 DIRECTIONS = (TEXT_TO_IMAGE, IMAGE_TO_TEXT)
-
-FIRST_CAPTION = "first_caption"
-ALL_CAPTIONS = "all_captions"
-CAPTION_MODES = (FIRST_CAPTION, ALL_CAPTIONS)
 
 METRIC_NAMES = ("r_at_1", "r_at_5", "r_at_10", "mrr_at_1", "mrr_at_5", "mrr_at_10")
 
@@ -162,7 +160,6 @@ class MetricRow:
 @dataclass(frozen=True)
 class MetricReport:
     direction: str
-    caption_mode: str
     rows: dict
     average: MetricRow
     metadata: dict
@@ -188,11 +185,6 @@ def _mean_row(rows: dict) -> MetricRow:
     )
 
 
-def _captions_of(record, language: str):
-    value = record.captions[language]
-    return (value,) if isinstance(value, str) else tuple(value)
-
-
 def _batched(apply, arrays, batch_size: int):
     n = len(arrays[0])
     outs = []
@@ -206,31 +198,26 @@ def evaluate(
     dataset,
     vocab,
     direction: str = TEXT_TO_IMAGE,
-    caption_mode: str = FIRST_CAPTION,
     languages=None,
     batch_size: int = 256,
     metadata: dict | None = None,
 ) -> MetricReport:
     """Embed a dataset once and score retrieval per language.
 
-    text_to_image ranks the image pool for every caption query; image_to_text
-    ranks the language's caption pool for every image.  first_caption keeps
-    one caption per image and language; all_captions uses every caption, with
-    an image's full caption set counting as relevant in image_to_text mode.
+    A record holds one caption per language, so record i gives image i and
+    caption i, and query i's one relevant candidate is candidate i:
+    text_to_image ranks the images for each caption, image_to_text ranks the
+    language's captions for each image.
 
     Images are embedded ``batch_size`` records at a time, one row per
-    record.  Per language, each distinct caption string is tokenized and
-    embedded once, and its row is gathered back to every caption that repeats
-    it, so queries, candidates and relevance sets still have one row per
-    caption.  Each row depends only on its own caption, up to the last bits
-    that the batch's GEMM shapes set when caption lengths are mixed.
+    record, once they are known to have the model's image size.  Per
+    language, each distinct caption string is tokenized and embedded once,
+    and its row is gathered back to every record that repeats it.  Each row
+    depends only on its own caption, up to the last bits that the batch's
+    GEMM shapes set when caption lengths are mixed.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    if caption_mode not in CAPTION_MODES:
-        raise ConfigError(
-            f"unknown caption mode {caption_mode!r}; expected one of {CAPTION_MODES}"
-        )
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     records = dataset.records
@@ -244,25 +231,29 @@ def evaluate(
         raise EvaluationError(
             f"languages not in the dataset: {missing}; it has {sorted(dataset.languages)}"
         )
+    repeated = sorted({lang for lang in languages if languages.count(lang) > 1})
+    if repeated:
+        raise EvaluationError(f"languages listed more than once: {repeated}")
 
     model = M.frozen(model)  # no forward records a graph, whatever the caller's requires_grad
     pixels = pixel_batch(records)
+    side = model.config.image_size
+    if pixels.shape[2:] != (side, side):
+        raise EvaluationError(
+            f"image size mismatch: checkpoint expects {side}px,"
+            f" dataset has {pixels.shape[-1]}px"
+        )
     image_emb = _batched(
         lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size
     )
 
     max_len = model.config.max_text_len
+    relevance = tuple(frozenset({i}) for i in range(len(records)))
     rows = {}
     covered = False
     for language in languages:
-        distinct, row_of, owners = {}, [], []  # distinct: caption -> row, in first-occurrence order
-        for index, record in enumerate(records):
-            captions = _captions_of(record, language)
-            if caption_mode == FIRST_CAPTION:
-                captions = captions[:1]
-            for caption in captions:
-                row_of.append(distinct.setdefault(caption, len(distinct)))
-                owners.append(index)
+        distinct = {}  # caption -> row, in first-occurrence order
+        row_of = [distinct.setdefault(r.captions[language], len(distinct)) for r in records]
         tokens, lengths = tokenize_batch(list(distinct), vocab, max_len)
         covered = covered or bool((tokens[:, 1:] > UNK_ID).any())
         text_emb = _batched(
@@ -270,23 +261,10 @@ def evaluate(
         )
         if len(distinct) < len(row_of):  # else row_of is 0..n-1 and the gather would only copy
             text_emb = text_emb[row_of]
-        if direction == TEXT_TO_IMAGE:
-            task = RetrievalTask(
-                direction=direction,
-                queries=text_emb,
-                relevance=tuple(frozenset({owner}) for owner in owners),
-                candidates=image_emb,
-            )
-        else:
-            mine = {i: set() for i in range(len(records))}
-            for caption_index, owner in enumerate(owners):
-                mine[owner].add(caption_index)
-            task = RetrievalTask(
-                direction=direction,
-                queries=image_emb,
-                relevance=tuple(frozenset(mine[i]) for i in range(len(records))),
-                candidates=text_emb,
-            )
+        queries, candidates = (
+            (text_emb, image_emb) if direction == TEXT_TO_IMAGE else (image_emb, text_emb)
+        )
+        task = RetrievalTask(direction, queries, relevance, candidates)
         rows[language] = metric_row_from_ranks(rank_items(task))
     if not covered:
         raise EvaluationError(
@@ -294,7 +272,6 @@ def evaluate(
         )
     return MetricReport(
         direction=direction,
-        caption_mode=caption_mode,
         rows=rows,
         average=_mean_row(rows),
         metadata=dict(metadata or {}),
@@ -323,7 +300,6 @@ def write_report_jsonl(report: MetricReport, path) -> None:
             {
                 "record": "run",
                 "direction": report.direction,
-                "caption_mode": report.caption_mode,
                 "metadata": report.metadata,
             },
             sort_keys=True,
@@ -353,7 +329,6 @@ def read_report_jsonl(path) -> MetricReport:
         average = MetricRow(**{m: tail[m] for m in METRIC_NAMES})
         return MetricReport(
             direction=head["direction"],
-            caption_mode=head["caption_mode"],
             rows=rows,
             average=average,
             metadata=head.get("metadata", {}),

@@ -296,6 +296,52 @@ def test_eval_refuses_a_language_the_dataset_lacks(run_dir, dataset_dir, tmp_pat
     assert not (out / "report.csv").exists()
 
 
+def test_eval_refuses_a_repeated_language(run_dir, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "e"
+    code, _, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(out), "--languages", "eng_Latn,eng_Latn",
+    )
+    assert code == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
+    assert "more than once: ['eng_Latn']" in err
+    assert not (out / "report.csv").exists()
+
+
+def test_eval_caption_mode_flag_is_refused(run_dir, dataset_dir, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(tmp_path / "e"), "--caption-mode", "first_caption",
+    )
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert "--caption-mode" in err
+
+
+def test_eval_takes_the_image_size_from_the_evaluated_records(run_dir, dataset_dir, tmp_path, capsys):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    first = load_dataset(data).records[0].id
+    assert first not in {i for ids in load_split(data) for i in ids}  # dropped by the filter
+    (data / "pixels" / f"{first}.rgb").write_bytes(bytes(8 * 8 * 3))
+    argv = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data)]
+    assert run(capsys, *argv, "--output", str(tmp_path / "val"), "--split", "val")[0] == 0
+    status, _, err = run(capsys, *argv, "--output", str(tmp_path / "all"), "--split", "all")
+    assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
+    assert f"record {first}: pixel array of shape (8, 8, 3)" in err
+
+
+def test_eval_of_records_of_another_image_size_is_refused(run_dir, dataset_dir, tmp_path, capsys):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    for record_id in load_split(data)[1]:  # every val record; the manifest's first stays 16x16
+        (data / "pixels" / f"{record_id}.rgb").write_bytes(bytes(8 * 8 * 3))
+    out = tmp_path / "e"
+    status, _, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
+        "--output", str(out), "--split", "val",
+    )
+    assert status == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
+    assert "image size mismatch: checkpoint expects 16px, dataset has 8px" in err
+    assert not (out / "report.csv").exists()
+
+
 def test_eval_identity_covers_the_split_file(run_dir, dataset_dir, tmp_path, capsys):
     # one manifest, two split files: the val records differ, so do the identities
     other = shutil.copytree(dataset_dir, tmp_path / "resplit")
@@ -402,6 +448,29 @@ def test_report_reads_a_moved_run_directory(dataset_dir, run_dir, second_run_dir
     assert [float(c) for c in row.split(",")[5:]] == [
         getattr(report.average, name) for name in METRIC_NAMES
     ]
+
+
+def test_report_compares_a_run_line_that_still_names_a_caption_mode(
+    run_dir, second_run_dir, tmp_path, capsys
+):
+    old = shutil.copytree(run_dir, tmp_path / "old")
+    path = old / "report.jsonl"
+    head, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    run_line = json.loads(head)
+    assert "caption_mode" not in run_line  # eval writes none
+    run_line["caption_mode"] = "first_caption"  # as older versions wrote it
+    path.write_text(json.dumps(run_line, sort_keys=True) + "\n" + "".join(rest), encoding="utf-8")
+    report = read_report_jsonl(path)
+    assert report == read_report_jsonl(run_dir / "report.jsonl")
+    code, _, err = run(
+        capsys, "report", "--runs", str(old), str(second_run_dir), "--output", str(tmp_path / "r")
+    )
+    assert code == 0, err
+    rows = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1:]
+    for row, new in zip(rows, (report, read_report_jsonl(second_run_dir / "report.jsonl"))):
+        assert [float(c) for c in row.split(",")[5:]] == [
+            getattr(new.average, name) for name in METRIC_NAMES
+        ]
 
 
 def test_report_needs_eval_first(dataset_dir, run_dir, tmp_path, capsys):

@@ -12,8 +12,6 @@ from clipforge import model as M
 from clipforge.data import Vocabulary, generate_synthetic_corpus, pixel_batch, tokenize_batch
 from clipforge.errors import ComparisonError, ConfigError, EvaluationError
 from clipforge.evaluation import (
-    ALL_CAPTIONS,
-    FIRST_CAPTION,
     IMAGE_TO_TEXT,
     METRIC_NAMES,
     TABLE_TO_FLORES,
@@ -286,33 +284,6 @@ def test_constant_embeddings_give_index_ranks():
     assert report.average == row
 
 
-def test_caption_modes_with_multiple_captions():
-    base = single_caption_dataset(3)[0]
-    records = [
-        StubRecord("img0", {"eng_Latn": ["red thing", "dark thing"]}, base.records[0].pixel_array),
-        StubRecord("img1", {"eng_Latn": "blue thing"}, base.records[1].pixel_array),
-        StubRecord("img2", {"eng_Latn": ["green thing"]}, base.records[2].pixel_array),
-    ]
-    dataset = StubDataset(records, ["eng_Latn"])
-    vocab = Vocabulary.build(["red dark blue green thing"])
-    model = constant_model(vocab.size, 6)
-
-    first = evaluate(model, dataset, vocab, caption_mode=FIRST_CAPTION)
-    assert first.rows["eng_Latn"].r_at_1 == 100.0 * (1 / 3)
-
-    both = evaluate(model, dataset, vocab, caption_mode=ALL_CAPTIONS)
-    # queries now [img0, img0, img1, img2] -> ranks [1, 1, 2, 3]
-    assert both.rows["eng_Latn"].r_at_1 == 100.0 * (2 / 4)
-
-    i2t_first = evaluate(model, dataset, vocab, direction=IMAGE_TO_TEXT)
-    assert i2t_first.rows["eng_Latn"].r_at_1 == 100.0 * (1 / 3)
-
-    i2t_all = evaluate(model, dataset, vocab, direction=IMAGE_TO_TEXT, caption_mode=ALL_CAPTIONS)
-    # caption pool [img0, img0, img1, img2]; relevant sets {0,1}, {2}, {3} -> ranks 1, 3, 4
-    assert i2t_all.rows["eng_Latn"].r_at_1 == 100.0 * (1 / 3)
-    assert i2t_all.rows["eng_Latn"].r_at_5 == 100.0
-
-
 def test_average_row_is_exact_mean():
     ds = generate_synthetic_corpus(10, 3, image_size=16, seed=0)
     vocab = Vocabulary.for_dataset(ds)
@@ -355,11 +326,28 @@ def test_evaluate_language_selection_and_errors():
         evaluate(model, ds, vocab, languages=["xx_None"])
     with pytest.raises(ConfigError):
         evaluate(model, ds, vocab, direction="both")
-    with pytest.raises(ConfigError):
-        evaluate(model, ds, vocab, caption_mode="last")
     with pytest.raises(EvaluationError):
         # vocabulary shares no token with the captions
         evaluate(model, ds, Vocabulary.from_tokens(["zzz", "qqq"]), languages=["eng_Latn"])
+
+
+def test_evaluate_refuses_repeated_languages_before_embedding(counted):
+    ds = generate_synthetic_corpus(6, 2, image_size=16, seed=6)
+    vocab = Vocabulary.for_dataset(ds)
+    model = micro_model(vocab.size, 8)
+    with pytest.raises(EvaluationError, match=r"more than once: \['eng_Latn'\]"):
+        evaluate(model, ds, vocab, languages=["eng_Latn", ds.languages[1], "eng_Latn"])
+    assert counted["text_rows"] == []
+
+
+def test_evaluate_refuses_images_of_another_size():
+    dataset, vocab = single_caption_dataset(3)
+    small = StubDataset(
+        [StubRecord(r.id, r.captions, r.pixel_array[:8, :8]) for r in dataset.records],
+        dataset.languages,
+    )
+    with pytest.raises(EvaluationError, match="checkpoint expects 16px, dataset has 8px"):
+        evaluate(micro_model(vocab.size, 6), small, vocab)
 
 
 def _traced_peak(call):
@@ -410,29 +398,18 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     assert all(p.requires_grad and p.grad is None for p in model.params.values())
 
 
-def two_caption_dataset(n, seed):
-    """A synthetic corpus whose records carry two captions per language: their
-    own and the previous record's, and every fifth record its own twice.  Its
-    384 caption templates repeat across records, so every pool repeats."""
+def repeating_corpus(n, seed):
+    """A synthetic corpus whose 384 caption templates repeat across records,
+    so at 120 records every language's caption pool repeats."""
     ds = generate_synthetic_corpus(n, 3, image_size=16, seed=seed)
-    records = []
-    for i, r in enumerate(ds.records):
-        second = r if i % 5 == 0 else ds.records[i - 1]
-        captions = {lang: [r.captions[lang], second.captions[lang]] for lang in ds.languages}
-        records.append(StubRecord(r.id, captions, r.get_pixels()))
-    return StubDataset(records, ds.languages), Vocabulary.for_dataset(ds)
+    return ds, Vocabulary.for_dataset(ds)
 
 
-def caption_pool(dataset, language, caption_mode):
-    pool = []
-    for record in dataset.records:
-        captions = record.captions[language]
-        captions = [captions] if isinstance(captions, str) else list(captions)
-        pool.append(captions[:1] if caption_mode == FIRST_CAPTION else captions)
-    return pool
+def caption_pool(dataset, language):
+    return [record.captions[language] for record in dataset.records]
 
 
-def every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size):
+def every_row_rows(model, dataset, vocab, direction, batch_size):
     """Per-language rows of an evaluate that tokenizes and embeds every caption
     row, repeats included, and stacks every image at once, kept as the
     reference for the one that embeds each distinct caption once."""
@@ -442,10 +419,9 @@ def every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size):
         [M.encode_image(model, pixels[a : a + batch_size]).data for a in range(0, len(records), batch_size)]
     )
     rows = {}
+    relevance = tuple(frozenset({i}) for i in range(len(records)))
     for language in dataset.languages:
-        pool = caption_pool(dataset, language, caption_mode)
-        texts = [caption for captions in pool for caption in captions]
-        owners = [index for index, captions in enumerate(pool) for _ in captions]
+        texts = caption_pool(dataset, language)
         tokens, lengths = tokenize_batch(texts, vocab, model.config.max_text_len)
         text_emb = np.concatenate(
             [
@@ -454,12 +430,8 @@ def every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size):
             ]
         )
         if direction == TEXT_TO_IMAGE:
-            t = RetrievalTask(direction, text_emb, tuple(frozenset({o}) for o in owners), image_emb)
+            t = RetrievalTask(direction, text_emb, relevance, image_emb)
         else:
-            relevance = tuple(
-                frozenset(row for row, owner in enumerate(owners) if owner == index)
-                for index in range(len(records))
-            )
             t = RetrievalTask(direction, image_emb, relevance, text_emb)
         rows[language] = metric_row_from_ranks(loop_ranks(t))
     return rows
@@ -484,28 +456,27 @@ def counted(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("caption_mode", [FIRST_CAPTION, ALL_CAPTIONS])
-def test_evaluate_embeds_each_distinct_caption_once(counted, caption_mode):
-    dataset, vocab = two_caption_dataset(120, seed=11)
+def test_evaluate_embeds_each_distinct_caption_once(counted):
+    dataset, vocab = repeating_corpus(120, seed=11)
     model = micro_model(vocab.size, 8, seed=5)
     for language in dataset.languages:
-        pool = caption_pool(dataset, language, caption_mode)
-        distinct = len({caption for captions in pool for caption in captions})
-        assert distinct < sum(map(len, pool))  # the corpus repeats captions
+        pool = caption_pool(dataset, language)
+        distinct = len(set(pool))
+        assert distinct < len(pool)  # the corpus repeats captions
         counted["text_rows"].clear()
         counted["tokenize_calls"] = 0
-        evaluate(model, dataset, vocab, caption_mode=caption_mode, languages=[language], batch_size=16)
+        evaluate(model, dataset, vocab, languages=[language], batch_size=16)
         assert sum(counted["text_rows"]) == distinct
         assert counted["tokenize_calls"] == distinct
 
 
-@pytest.mark.parametrize("caption_mode", [FIRST_CAPTION, ALL_CAPTIONS])
 @pytest.mark.parametrize("direction", [TEXT_TO_IMAGE, IMAGE_TO_TEXT])
-def test_distinct_caption_reports_equal_an_every_row_encode(direction, caption_mode):
-    dataset, vocab = two_caption_dataset(120, seed=12)
+def test_distinct_caption_reports_equal_an_every_row_encode(direction):
+    dataset, vocab = repeating_corpus(120, seed=12)
     model = micro_model(vocab.size, 8, seed=6)
-    report = evaluate(model, dataset, vocab, direction=direction, caption_mode=caption_mode, batch_size=16)
-    expected = every_row_rows(model, dataset, vocab, direction, caption_mode, batch_size=16)
+    assert all(len(set(caption_pool(dataset, lang))) < len(dataset.records) for lang in dataset.languages)
+    report = evaluate(model, dataset, vocab, direction=direction, batch_size=16)
+    expected = every_row_rows(model, dataset, vocab, direction, batch_size=16)
     assert report.rows == expected
     assert report.average == evaluation._mean_row(expected)
 
@@ -524,7 +495,7 @@ def test_all_distinct_captions_are_each_encoded_once(counted):
         counted["tokenize_calls"] = 0
         report = evaluate(model, dataset, vocab, direction=direction, batch_size=16)
         assert sum(counted["text_rows"]) == counted["tokenize_calls"] == 2 * n
-        assert report.rows == every_row_rows(model, dataset, vocab, direction, FIRST_CAPTION, 16)
+        assert report.rows == every_row_rows(model, dataset, vocab, direction, 16)
 
 
 def test_perfectly_separable_embeddings_hit_rank_one():
