@@ -175,7 +175,6 @@ def cmd_eval(args) -> int:
     languages = [part for part in args.languages.split(",") if part] if args.languages else None
 
     out = Path(args.output).resolve()
-    out.mkdir(parents=True, exist_ok=True)
     record = read_record(out)  # refused here, before any output is written
     effective = {
         "checkpoint": str(Path(args.checkpoint).resolve()),
@@ -215,6 +214,7 @@ def cmd_eval(args) -> int:
         languages=languages,
         metadata=metadata,
     )
+    out.mkdir(parents=True, exist_ok=True)  # only now: a refused eval leaves no directory
     E.write_report_csv(report, out / "report.csv")
     E.write_report_jsonl(report, out / "report.jsonl")
     _write_effective(out / "eval.effective", effective)

@@ -304,7 +304,7 @@ def test_eval_refuses_a_repeated_language(run_dir, dataset_dir, tmp_path, capsys
     )
     assert code == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
     assert "more than once: ['eng_Latn']" in err
-    assert not (out / "report.csv").exists()
+    assert not out.exists()
 
 
 def test_eval_caption_mode_flag_is_refused(run_dir, dataset_dir, tmp_path, capsys):
@@ -339,7 +339,7 @@ def test_eval_of_records_of_another_image_size_is_refused(run_dir, dataset_dir, 
     )
     assert status == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
     assert "image size mismatch: checkpoint expects 16px, dataset has 8px" in err
-    assert not (out / "report.csv").exists()
+    assert not out.exists()  # eval refused before writing any output
 
 
 def test_eval_identity_covers_the_split_file(run_dir, dataset_dir, tmp_path, capsys):
@@ -467,9 +467,9 @@ def test_report_compares_a_run_line_that_still_names_a_caption_mode(
     )
     assert code == 0, err
     rows = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1:]
-    for row, new in zip(rows, (report, read_report_jsonl(second_run_dir / "report.jsonl"))):
+    for row, expected in zip(rows, (report, read_report_jsonl(second_run_dir / "report.jsonl"))):
         assert [float(c) for c in row.split(",")[5:]] == [
-            getattr(new.average, name) for name in METRIC_NAMES
+            getattr(expected.average, name) for name in METRIC_NAMES
         ]
 
 
