@@ -124,7 +124,14 @@ def _merged_run_config(args) -> RunConfig:
 def cmd_train(args) -> int:
     config = _merged_run_config(args)
     if args.force and config.output_dir and Path(config.output_dir).exists():
-        shutil.rmtree(config.output_dir)
+        out = Path(config.output_dir).resolve()
+        for field, flag in (("dataset_dir", "--dataset"), ("init_from", "--init-from")):
+            path = getattr(config, field)
+            if path and Path(path).resolve().is_relative_to(out):
+                raise ConfigError(
+                    f"train --force would delete {flag} {path}: it lies in the output dir {out}"
+                )
+        shutil.rmtree(out)
     result = run_training(config, log=print)
     print(
         f"run {result.run_id} finished after {result.total_steps} steps;"
@@ -290,13 +297,15 @@ def cmd_report(args) -> int:
     if len(run_dirs) < 2:
         raise ConfigError(f"need at least 2 runs to compare, got {len(run_dirs)}")
     loaded = [_load_run(run_dir) for run_dir in run_dirs]
-    dataset_ids = {report.metadata.get("dataset_id", "") for _, report in loaded}
     # an eval of split "all" reads no split file, so it carries no split digest
-    split_digests = {r.metadata["split_digest"] for _, r in loaded if "split_digest" in r.metadata}
-    if (len(dataset_ids) > 1 or len(split_digests) > 1) and not args.allow_mixed:
+    record_sets = {
+        tuple(r.metadata.get(key, "") for key in ("dataset_id", "split", "split_digest"))
+        for _, r in loaded
+    }
+    if len(record_sets) > 1 and not args.allow_mixed:
         raise ConfigError(
-            f"runs were evaluated on different record sets ({len(dataset_ids)} datasets,"
-            f" {len(split_digests)} split files); pass --allow-mixed to compare anyway"
+            f"runs were evaluated on {len(record_sets)} different record sets (dataset, split"
+            " and split file); pass --allow-mixed to compare anyway"
         )
     out = Path(args.output).resolve()
     out.mkdir(parents=True, exist_ok=True)

@@ -417,29 +417,30 @@ CHECKPOINT_VERSION = 1
 STATE_PREFIX = "optim/"  # no parameter name starts with it
 
 
-def replace_file(path, chunks) -> None:
-    """Write ``chunks`` (bytes-like pieces, in order) to ``<path>.tmp``, then
-    rename it over ``path``.
+def replace_file(path, chunks, tmp=None) -> None:
+    """Write ``chunks`` (bytes-like pieces, in order) to ``tmp`` (by default
+    ``<path>.tmp``), then rename it over ``path``.
 
     A process killed mid-write leaves the previous file whole.  There is no
-    fsync: this guards against a killed process, not a lost machine.
+    fsync: this guards against a killed process, not a lost machine.  Two
+    processes that may write one path at once each pass a ``tmp`` of their own.
     """
-    tmp = f"{path}.tmp"
+    tmp = tmp or f"{path}.tmp"
     with open(tmp, "wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
     os.replace(tmp, path)
 
 
-def write_tensor_file(path, header: dict, arrays: dict) -> None:
+def write_tensor_file(path, header: dict, arrays: dict, tmp=None) -> None:
     """Serialize named float32 arrays with a JSON header.
 
     Layout (little-endian): magic, version u32, header length u32 + canonical
     JSON, entry count u32, then per entry sorted by name: name length + utf-8
     name, ndim u32, dims u32 each, raw float32 payload.  A crc32 over all
-    payload bytes closes the file.
+    payload bytes closes the file.  ``tmp`` is passed to ``replace_file``.
     """
-    replace_file(path, _tensor_file_chunks(header, arrays))
+    replace_file(path, _tensor_file_chunks(header, arrays), tmp)
 
 
 def _tensor_file_chunks(header: dict, arrays: dict):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from .data import (
     split_records,
     tokenize_batch,
 )
-from .errors import CheckpointFormatError, ConfigError, TrainingError
+from .errors import CheckpointFormatError, CheckpointIntegrityError, ConfigError, TrainingError
 
 OPTIMIZERS = ("lion", "lion8", "adamw")
 REGIMES = tuple(r.value for r in M.FreezeRegime)
@@ -43,6 +44,7 @@ LAST_CHECKPOINT = "last.nclp"
 BEST_CHECKPOINT = "best.nclp"
 RECORD_FILE = "run_record.jsonl"
 EFFECTIVE_CONFIG = "config.effective"
+FEATURE_DIR = "image_features"  # in the dataset directory: derived files, safe to delete
 
 
 @dataclass(frozen=True)
@@ -204,17 +206,13 @@ def batch_loss(
 ):
     """Symmetric contrastive loss of one batch under a language plan.
 
-    ``image_cache`` (record id -> pooled image-feature row) is for a frozen
-    image tower: only records missing from it go through the tower, and their
-    rows are added to it.
+    ``image_cache`` (record id -> pooled image-feature row, as
+    ``frozen_image_features`` returns it) stands in for a frozen image tower
+    and must hold every record of the batch.
     """
     if image_cache is None:
         image_emb = M.encode_image(model, pixel_batch(records))
     else:
-        missing = [r for r in records if r.id not in image_cache]
-        if missing:
-            pooled = M.image_features(model, pixel_batch(missing)).data
-            image_cache.update(zip((r.id for r in missing), pooled))
         pooled = T.Tensor(np.stack([image_cache[r.id] for r in records]))
         image_emb = M.project_image(model, pooled)
     tokens, lengths = tokenize_batch(
@@ -234,6 +232,81 @@ def dataset_loss(model, records, choices, vocab, batch_size: int, image_cache=No
     if count == 0:
         raise TrainingError("fewer than 2 records; cannot compute a contrastive loss")
     return total / count
+
+
+# ---------------------------------------------------------------------------
+# frozen image features, stored in the dataset directory
+# ---------------------------------------------------------------------------
+
+def image_tower_key(model: M.DualEncoderModel) -> str:
+    """sha256 of all a pooled image row depends on besides its pixels: the
+    image tower's config and parameters, and the numpy and BLAS builds."""
+    config = dataclasses.asdict(model.config)
+    tower = {k: v for k, v in config.items() if k.startswith("image_") or k == "patch_size"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    builds = [np.__version__, blas.get("name"), blas.get("version")]
+    h = hashlib.sha256(json.dumps([tower, builds], sort_keys=True).encode("utf-8"))
+    for name in sorted(n for n in model.params if n.startswith("image/")):
+        data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
+        h.update(f"{name}:{data.shape}".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _read_feature_store(path: Path, key: str, width: int) -> dict:
+    """{pixel sha256: pooled row} of a store file; {} when there is none or it
+    belongs to another tower.  A torn or unreadable file is refused."""
+    if not path.is_file():
+        return {}
+    try:
+        header, arrays = M.read_tensor_file(path)
+    except (CheckpointFormatError, CheckpointIntegrityError) as exc:
+        raise CheckpointIntegrityError(
+            f"image feature store {path}: {exc}; the file is derived from the dataset"
+            " and may be deleted"
+        ) from None
+    rows, features = header.get("rows", ()), arrays.get("features")
+    if header.get("key") != key or features is None or features.shape != (len(rows), width):
+        return {}
+    return dict(zip(rows, features))
+
+
+def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) -> dict:
+    """{record id: pooled image row} of ``records`` for a model whose image
+    tower does not train.
+
+    Rows come from ``<dataset_dir>/image_features/<key[:16]>.nclp`` (see
+    ``image_tower_key``), which holds one row per distinct pixel array.  The
+    images it lacks go through the tower in one call, and the union is
+    written back.  Each pooled row depends only on its own image, so a stored
+    row is bitwise the one the tower would give; one row is recomputed before
+    the file is used, which catches a file another BLAS build wrote.  A
+    failed write is reported through ``say`` and does not stop the run.
+    """
+    digests = [hashlib.sha256(r.get_pixels().tobytes()).hexdigest() for r in records]
+    key = image_tower_key(model)
+    path = Path(dataset_dir) / FEATURE_DIR / f"{key[:16]}.nclp"
+    stored = _read_feature_store(path, key, model.config.image_dim)
+    canary = next((i for i, d in enumerate(digests) if d in stored), None)
+    if canary is not None:
+        row = M.image_features(model, pixel_batch([records[canary]])).data[0]
+        if row.tobytes() != stored[digests[canary]].tobytes():
+            say(f"{path}: a stored row differs from the recomputed one; recomputing all rows")
+            stored = {}
+    missing = {d: r for d, r in zip(digests, records) if d not in stored}
+    if missing:
+        pooled = M.image_features(model, pixel_batch(list(missing.values()))).data
+        stored.update(zip(missing, pooled))
+        rows = sorted(stored)
+        try:
+            path.parent.mkdir(exist_ok=True)
+            M.write_tensor_file(
+                path, {"key": key, "rows": rows}, {"features": np.stack([stored[d] for d in rows])},
+                tmp=f"{path}.{os.getpid()}.tmp",  # concurrent runs never share a temporary file
+            )
+        except OSError as exc:
+            say(f"image features not stored at {path}: {exc}")
+    return {r.id: stored[d] for r, d in zip(records, digests)}
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +451,19 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     if epochs != list(range(next_epoch)):
         raise ConfigError(f"{out / RECORD_FILE} holds epochs {epochs}, but {LAST_CHECKPOINT}"
                           f" resumes at epoch {next_epoch}; use --force to start over")
+    M.apply_freeze(model, M.FreezeRegime(config.regime))
+    # a frozen image tower maps each record to the same pooled row all run long
+    image_cache = None
+    if not M.trains(model, "image"):
+        image_cache = frozen_image_features(
+            model, train_records + val_records, config.dataset_dir, say
+        )
     M.replace_file(out / EFFECTIVE_CONFIG, [config_to_text(config).encode("utf-8")])
     write_record(out, record)
 
-    M.apply_freeze(model, M.FreezeRegime(config.regime))
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}
     # looked up per run, so a wrapper set on the module attribute (perfbench's) sees every step
     step_fn = getattr(optim, f"{config.optimizer}_step")
-    # a frozen image tower maps each record to the same pooled row all run long
-    image_cache = None if M.trains(model, "image") else {}
 
     total_steps = config.epochs * sum(1 for _ in _iter_batches(train_records, config.batch_size))
     seeds = f"{config.data_seed}/{config.init_seed}/{config.sampler_seed}"

@@ -164,6 +164,23 @@ def test_train_force_restarts(dataset_dir, tmp_path, capsys):
     assert run(capsys, *train_args(dataset_dir, out), "--lr", "2e-3", "--force")[0] == 0
 
 
+@pytest.mark.parametrize("inside", ["dataset", "init-from"])
+def test_train_force_refuses_to_delete_its_own_inputs(dataset_dir, tmp_path, capsys, inside):
+    out = tmp_path / "run"
+    if inside == "dataset":
+        data = shutil.copytree(dataset_dir, out / "ds")
+        argv = train_args(data, out, "--force")
+    else:
+        assert run(capsys, *train_args(dataset_dir, out, "--epochs", "1"))[0] == 0
+        data = out / "best.nclp"
+        argv = train_args(dataset_dir, out, "--init-from", str(data), "--force")
+    before = tree_digest(out)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert str(data) in err and "--force" in err
+    assert tree_digest(out) == before
+
+
 def test_commands_do_not_mutate_dataset(dataset_dir, run_dir):
     # run_dir already trained + evaluated against dataset_dir
     before = tree_digest(dataset_dir)
@@ -429,6 +446,21 @@ def test_report_rejects_mixed_datasets(run_dir, second_run_dir, tmp_path, capsys
     )[0] == 0
 
 
+@pytest.mark.parametrize("splits", [("val", "train"), ("all", "val")], ids=["val-train", "all-val"])
+def test_report_refuses_other_splits_of_one_dataset(run_dir, dataset_dir, tmp_path, capsys, splits):
+    runs = []
+    for split_name in splits:
+        out = shutil.copytree(run_dir, tmp_path / f"run-{split_name}")
+        assert run(capsys, "eval", "--checkpoint", str(out / "best.nclp"), "--dataset",
+                   str(dataset_dir), "--output", str(out), "--split", split_name)[0] == 0
+        runs.append(str(out))
+    argv = ["report", "--runs", *runs, "--output", str(tmp_path / "r")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert "--allow-mixed" in err and not (tmp_path / "r").exists()
+    assert run(capsys, *argv, "--allow-mixed")[0] == 0
+
+
 def test_report_reads_a_moved_run_directory(dataset_dir, run_dir, second_run_dir, tmp_path, capsys):
     original, moved = tmp_path / "run", tmp_path / "moved"
     shutil.copytree(run_dir, original)
@@ -439,7 +471,8 @@ def test_report_reads_a_moved_run_directory(dataset_dir, run_dir, second_run_dir
     shutil.copytree(original, moved)
     shutil.rmtree(original)
     code, _, err = run(
-        capsys, "report", "--runs", str(moved), str(second_run_dir), "--output", str(tmp_path / "r")
+        capsys, "report", "--runs", str(moved), str(second_run_dir), "--output", str(tmp_path / "r"),
+        "--allow-mixed",  # split all against split val
     )
     assert code == 0, err
     row = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]
@@ -593,7 +626,8 @@ def test_report_reads_the_report_eval_registered_over_a_torn_record_tail(
     entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert entries[-1] == {"record": "report", "path": "report.jsonl"}
     code, _, err = run(
-        capsys, "report", "--runs", str(copy), str(run_dir), "--output", str(tmp_path / "r")
+        capsys, "report", "--runs", str(copy), str(run_dir), "--output", str(tmp_path / "r"),
+        "--allow-mixed",  # split all against split val
     )
     assert code == 0, err
     row = (tmp_path / "r" / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -16,13 +17,21 @@ from clipforge.data import (
     aesthetic_filter,
     generate_synthetic_corpus,
     load_dataset,
+    load_split,
+    pixel_batch,
     sample_epoch,
     save_dataset,
     save_split,
     split,
 )
 from clipforge import optim
-from clipforge.errors import CheckpointFormatError, ConfigError, DatasetFormatError, TrainingError
+from clipforge.errors import (
+    CheckpointFormatError,
+    CheckpointIntegrityError,
+    ConfigError,
+    DatasetFormatError,
+    TrainingError,
+)
 from clipforge.training import (
     RunConfig,
     coerce_field,
@@ -242,7 +251,7 @@ def test_two_runs_bitwise_identical(dataset_dir, tmp_path):
 
 @pytest.mark.parametrize("regime", ["full", "text-encoder"])
 def test_interrupted_run_resumes_bitwise(dataset_dir, tmp_path, regime):
-    # a resumed frozen-tower run refills its image-feature cache from other batches
+    # a resumed frozen-tower run reads its image features from the dataset's store
     straight = run_training(tiny_config(dataset_dir, tmp_path / "s", epochs=3, regime=regime))
 
     calls = []
@@ -307,34 +316,55 @@ def test_kill_around_epoch_record_keeps_each_epoch_once(dataset_dir, tmp_path, m
 
 
 # every write of an uninterrupted 3-epoch run, in order (best.nclp improves each epoch);
-# a record write is named by the kind of line it adds
+# a record write is named by the kind of line it adds, a feature store write by its directory
 WRITES = [training.EFFECTIVE_CONFIG, "run"] + [
     "epoch", training.BEST_CHECKPOINT, training.LAST_CHECKPOINT
 ] * 3
+# a run whose image tower is frozen first fills the dataset's feature store
+FROZEN_WRITES = [training.FEATURE_DIR] + WRITES
+KILL_POINTS = [pytest.param("full", i, id=f"{i}-{n}") for i, n in enumerate(WRITES)] + [
+    pytest.param("text-encoder", i, id=f"text-encoder-{i}-{n}") for i, n in enumerate(FROZEN_WRITES)
+]
+
+
+def _target(path) -> str:
+    """The name WRITES gives the file a write goes to."""
+    path = Path(path)
+    return training.FEATURE_DIR if path.parent.name == training.FEATURE_DIR else path.name
 
 
 def _route_writes(monkeypatch, on_write):
     """Send each file replacement through on_write(name, write)."""
     replace = M.replace_file
 
-    def routed(path, chunks):
-        name = Path(path).name
+    def routed(path, chunks, tmp=None):
+        name = _target(path)
         if name == training.RECORD_FILE:
             chunks = list(chunks)
             name = json.loads(b"".join(chunks).splitlines()[-1])["record"]
-        on_write(name, lambda: replace(path, chunks))
+        on_write(name, lambda: replace(path, chunks, tmp))
 
     monkeypatch.setattr(M, "replace_file", routed)
 
 
-@pytest.fixture(scope="module")
-def three_epoch_run(dataset_dir, tmp_path_factory):
+def _straight_run(dataset_dir, out, regime):
     """Output dir of an uninterrupted 3-epoch run, and the names of its writes."""
-    out, names = tmp_path_factory.mktemp("straight"), []
+    names = []
     with pytest.MonkeyPatch.context() as mp:
         _route_writes(mp, lambda name, write: (names.append(name), write()))
-        run_training(tiny_config(dataset_dir, out, epochs=3))
+        run_training(tiny_config(dataset_dir, out, epochs=3, regime=regime))
     return out, names
+
+
+@pytest.fixture(scope="module")
+def three_epoch_run(dataset_dir, tmp_path_factory):
+    return _straight_run(dataset_dir, tmp_path_factory.mktemp("straight"), "full")
+
+
+@pytest.fixture(scope="module")
+def frozen_three_epoch_run(tmp_path_factory):
+    data = make_dataset(tmp_path_factory.mktemp("data") / "ds")  # no feature store yet
+    return _straight_run(data, tmp_path_factory.mktemp("straight"), "text-encoder")
 
 
 def _file_of(write: str) -> str:
@@ -342,10 +372,12 @@ def _file_of(write: str) -> str:
 
 
 @pytest.mark.parametrize("when", ["before", "after", "mid"])
-@pytest.mark.parametrize("point", range(len(WRITES)), ids=[f"{i}-{n}" for i, n in enumerate(WRITES)])
-def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch, three_epoch_run, point, when):
-    straight, names = three_epoch_run
-    assert names == WRITES  # so the cases cover every write the run makes
+@pytest.mark.parametrize("regime, point", KILL_POINTS)
+def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch, request, regime, point, when):
+    frozen = regime != "full"
+    straight, names = request.getfixturevalue("frozen_three_epoch_run" if frozen else "three_epoch_run")
+    writes = FROZEN_WRITES if frozen else WRITES
+    assert names == writes  # so the cases cover every write the run makes
     seen = []
 
     def dying_write(name, write):
@@ -356,26 +388,31 @@ def test_kill_at_every_write_resumes_bitwise(dataset_dir, tmp_path, monkeypatch,
             raise KeyboardInterrupt
         write()
 
+    data = make_dataset(tmp_path / "ds") if frozen else dataset_dir
     out = tmp_path / "k"
-    config = tiny_config(dataset_dir, out, epochs=3)
+    config = tiny_config(data, out, epochs=3, regime=regime)
+    store_tmp = f"{training.FEATURE_DIR}/*.tmp"
     if when == "mid":
-        # the kill leaves a prefix of this write's bytes in <file>.tmp
-        name = _file_of(WRITES[point])
-        nth = [_file_of(w) for w in WRITES[: point + 1]].count(name)
+        # the kill leaves a prefix of this write's bytes in a temporary file
+        name = _file_of(writes[point])
+        nth = [_file_of(w) for w in writes[: point + 1]].count(name)
         monkeypatch.setattr(M, "open", _dying_open(name, nth), raising=False)
     else:
         _route_writes(monkeypatch, dying_write)
     with pytest.raises(KeyboardInterrupt):
         run_training(config)
     if when == "mid":
-        assert list(out.glob("*.tmp")) == [out / f"{_file_of(WRITES[point])}.tmp"]
+        torn = [*out.glob("*.tmp"), *data.glob(store_tmp)]
+        assert len(torn) == 1 and _target(torn[0]).startswith(_file_of(writes[point]))
     monkeypatch.undo()
     run_training(config)
     for name in (training.LAST_CHECKPOINT, training.BEST_CHECKPOINT):
         assert (out / name).read_bytes() == (straight / name).read_bytes()
     lines = [json.loads(l) for l in (out / training.RECORD_FILE).read_text().splitlines()]
     assert [l.get("epoch", l["record"]) for l in lines] == ["run", 0, 1, 2]
-    assert not list(out.glob("*.tmp"))
+    assert not list(out.glob("*.tmp")) and not list(data.glob(store_tmp))
+    if frozen:
+        assert len(list(data.glob(f"{training.FEATURE_DIR}/*.nclp"))) == 1
 
 
 def test_empty_record_file_restarts_with_a_run_line(dataset_dir, tmp_path):
@@ -456,12 +493,12 @@ class _HalfWrite:
 
 
 def _dying_open(name, nth):
-    """open() that kills the nth write of a file whose name starts with name halfway through."""
+    """open() that kills the nth write of a file whose WRITES name starts with name halfway through."""
     writes = []
 
     def dying_open(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
-        if "w" in mode and Path(path).name.startswith(name):
+        if "w" in mode and _target(path).startswith(name):
             writes.append(path)
             if len(writes) == nth:
                 return _HalfWrite(fh)
@@ -679,27 +716,28 @@ def frozen_batch(dataset_dir, size, regime):
     [("text-encoder", ("image/",)), ("projection", ("image/", "text/"))],
     ids=["text-encoder", "projection"],
 )
-def test_frozen_parameters_get_no_gradient(dataset_dir, regime, frozen):
+def test_frozen_parameters_get_no_gradient(dataset_dir, tmp_path, regime, frozen):
     model, records, choices, vocab = frozen_batch(dataset_dir, 8, regime)
-    for image_cache in (None, {}):
+    cache = training.frozen_image_features(model, records, tmp_path, print)
+    for image_cache in (None, cache):
         model.zero_grad()
         training.batch_loss(model, records, choices, vocab, image_cache=image_cache).backward()
         for name, p in model.params.items():
             assert (p.grad is None) == name.startswith(frozen), (image_cache, name)
 
 
-def test_image_cache_gives_the_same_loss_and_gradients(dataset_dir):
+def test_image_cache_gives_the_same_loss_and_gradients(dataset_dir, tmp_path):
     model, records, choices, vocab = frozen_batch(dataset_dir, 12, "text-encoder")
-    cache = {}
-    training.batch_loss(model, records[3:10], choices, vocab, image_cache=cache)  # partly warm
+    computed = training.frozen_image_features(model, records, tmp_path, print)
+    stored = training.frozen_image_features(model, records, tmp_path, print)
     outcomes = []
-    for image_cache in (None, cache, cache):  # uncached, partly cached, fully cached
+    for image_cache in (None, computed, stored):
         model.zero_grad()
         loss = training.batch_loss(model, records, choices, vocab, image_cache=image_cache)
         loss.backward()
         grads = {n: p.grad.tobytes() for n, p in model.params.items() if p.grad is not None}
         outcomes.append((loss.data.tobytes(), grads))
-    assert set(cache) == {r.id for r in records}
+    assert set(computed) == set(stored) == {r.id for r in records}
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
@@ -741,6 +779,164 @@ def test_validation_loss_of_a_trainable_model_equals_its_frozen_view(dataset_dir
     assert {name: p.requires_grad for name, p in model.params.items()} == flags
     assert all(p.grad is None for p in model.params.values())
     assert peak < 1.1 * frozen_peak + 2**16, (peak, frozen_peak)
+
+
+# ---------------------------------------------------------------------------
+# image feature store
+# ---------------------------------------------------------------------------
+
+def _stored(data):
+    return sorted(Path(data).glob(f"{training.FEATURE_DIR}/*.nclp"))
+
+
+def _frozen_run(data, out, log=None, **overrides):
+    """last.nclp bytes of a 2-epoch text-encoder run."""
+    config = tiny_config(data, out, regime="text-encoder", **overrides)
+    return Path(run_training(config, log=log).last_checkpoint).read_bytes()
+
+
+def _counted_image_features(monkeypatch):
+    """Image counts of every ``model.image_features`` call from here on."""
+    calls, image_features = [], M.image_features
+
+    def counting(model, images):
+        calls.append(len(images))
+        return image_features(model, images)
+
+    monkeypatch.setattr(M, "image_features", counting)
+    return calls
+
+
+def _stage1(data, path, seed):
+    vocab = Vocabulary.for_dataset(load_dataset(data))
+    cfg = M.ModelConfig.from_presets("b-b", vocab.size, training.MAX_TEXT_LEN, image_size=16)
+    M.save_checkpoint(M.DualEncoderModel(cfg, init_seed=seed), path)
+    return str(path)
+
+
+def test_a_run_of_another_image_tower_replaces_a_store_file_of_another_key(tmp_path, monkeypatch):
+    data, plain = make_dataset(tmp_path / "ds"), make_dataset(tmp_path / "plain")
+    one, two = (_stage1(data, tmp_path / f"stage1-{seed}.nclp", seed) for seed in (1, 2))
+    _frozen_run(data, tmp_path / "one", init_from=one)
+    [first] = _stored(data)
+    key = training.image_tower_key(M.load_checkpoint(two))
+    other = first.with_name(f"{key[:16]}.nclp")
+    shutil.copyfile(first, other)  # another tower's rows, at tower two's name
+    expected = _frozen_run(plain, tmp_path / "plain-two", init_from=two)
+    calls = _counted_image_features(monkeypatch)
+    assert _frozen_run(data, tmp_path / "two", init_from=two) == expected
+    header, _ = M.read_tensor_file(other)
+    assert header["key"] == key and calls == [len(header["rows"])]  # one call, no stored row used
+    assert other.read_bytes() == _stored(plain)[0].read_bytes()
+    assert _stored(data) == sorted([first, other])
+
+
+def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch):
+    data = make_dataset(tmp_path / "ds")
+    _frozen_run(data, tmp_path / "a")
+    [path] = _stored(data)
+    rows = len(M.read_tensor_file(path)[0]["rows"])
+    train_ids, _ = load_split(data)
+    pixels = [data / "pixels" / f"{rid}.rgb" for rid in train_ids[:3]]
+    pixels[0].write_bytes(bytes(255 - b for b in pixels[0].read_bytes()))  # an image of its own
+    pixels[1].write_bytes(pixels[2].read_bytes())  # a copy shares its original's row
+    plain = shutil.copytree(data, tmp_path / "plain", ignore=shutil.ignore_patterns(training.FEATURE_DIR))
+    expected = _frozen_run(plain, tmp_path / "p")
+    calls = _counted_image_features(monkeypatch)
+    assert _frozen_run(data, tmp_path / "b") == expected
+    assert calls == [1, 1]  # the check row, then the rewritten image
+    assert len(M.read_tensor_file(path)[0]["rows"]) == rows + 1
+
+
+def test_a_truncated_store_file_is_refused_in_one_line(tmp_path):
+    data = make_dataset(tmp_path / "ds")
+    expected = _frozen_run(data, tmp_path / "a")
+    [path] = _stored(data)
+    path.write_bytes(path.read_bytes()[:-9])
+    with pytest.raises(CheckpointIntegrityError) as exc:
+        _frozen_run(data, tmp_path / "b")
+    message = str(exc.value)
+    assert exc.value.code == "E_CHECKPOINT_INTEGRITY" and "\n" not in message
+    assert str(path) in message and "derived" in message and "may be deleted" in message
+    assert not (tmp_path / "b" / training.RECORD_FILE).exists()  # refused before any run write
+    path.unlink()
+    assert _frozen_run(data, tmp_path / "b") == expected
+
+
+def test_a_failed_store_write_does_not_stop_the_run(tmp_path, monkeypatch):
+    expected = _frozen_run(make_dataset(tmp_path / "plain"), tmp_path / "p")
+    data = make_dataset(tmp_path / "ds")
+    replace = M.replace_file
+
+    def read_only_store(path, chunks, tmp=None):
+        if Path(path).parent.name == training.FEATURE_DIR:
+            raise OSError(30, "Read-only file system", str(tmp))
+        replace(path, chunks, tmp)
+
+    monkeypatch.setattr(M, "replace_file", read_only_store)
+    messages = []
+    assert _frozen_run(data, tmp_path / "a", log=messages.append) == expected
+    assert not _stored(data)
+    assert [m for m in messages if "image features not stored" in m and "Read-only" in m]
+
+
+def test_a_store_file_whose_check_row_differs_is_not_used(tmp_path):
+    data = make_dataset(tmp_path / "ds")
+    expected = _frozen_run(data, tmp_path / "a")
+    [path] = _stored(data)
+    good = path.read_bytes()
+    header, arrays = M.read_tensor_file(path)
+    # one unit in the last place, as a file another BLAS build wrote might differ
+    M.write_tensor_file(path, header, {"features": np.nextafter(arrays["features"], np.float32(np.inf))})
+    messages = []
+    assert _frozen_run(data, tmp_path / "b", log=messages.append) == expected
+    assert path.read_bytes() == good  # replaced by the recomputed rows
+    assert [m for m in messages if str(path) in m and "differs" in m]
+
+
+def _store_writer(dataset_dir, worker, workers, rounds):
+    """One of several processes that each add an image to one store, ``rounds`` times."""
+    dataset = load_dataset(dataset_dir)
+    vocab = Vocabulary.for_dataset(dataset)
+    cfg = M.ModelConfig.from_presets("b-b", vocab.size, training.MAX_TEXT_LEN, image_size=16)
+    model = M.DualEncoderModel(cfg, init_seed=0)
+    M.apply_freeze(model, M.FreezeRegime.TEXT_ENCODER)
+    def fail(message):  # a failed write or a mismatched row: nothing is logged in this test
+        raise SystemExit(f"worker {worker}: {message}")
+
+    for i in range(rounds):
+        pair = [dataset.records[0], dataset.records[1 + (i * workers + worker) % (len(dataset) - 1)]]
+        rows = training.frozen_image_features(model, pair, dataset_dir, fail)
+        expected = M.image_features(model, pixel_batch(pair)).data
+        if np.stack([rows[r.id] for r in pair]).tobytes() != expected.tobytes():
+            fail("a row read back differs")
+
+
+def test_concurrent_writers_never_tear_the_store(tmp_path):
+    data = make_dataset(tmp_path / "ds")
+    context = multiprocessing.get_context("spawn")
+    workers = [context.Process(target=_store_writer, args=(str(data), w, 3, 20)) for w in range(3)]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [(w.is_alive(), w.exitcode) for w in workers] == [(False, 0)] * 3
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+    [path] = _stored(data)
+    M.read_tensor_file(path)  # whole
+    assert not list(data.glob(f"{training.FEATURE_DIR}/*.tmp"))
+
+
+def test_a_full_run_never_touches_the_store(tmp_path, monkeypatch):
+    data = make_dataset(tmp_path / "ds")
+    monkeypatch.setattr(training, "image_tower_key", None)  # any hashing would raise
+    run_training(tiny_config(data, tmp_path / "a", epochs=1))
+    assert not (data / training.FEATURE_DIR).exists()
 
 
 def test_non_finite_loss_aborts(dataset_dir, tmp_path, monkeypatch):
