@@ -8,6 +8,7 @@ so any run can be reproduced or resumed from its output directory alone.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -243,7 +244,11 @@ def image_tower_key(model: M.DualEncoderModel) -> str:
     image tower's config and parameters, and the numpy and BLAS builds."""
     config = dataclasses.asdict(model.config)
     tower = {k: v for k, v in config.items() if k.startswith("image_") or k == "patch_size"}
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 reports no builds; the canary row still guards
+        build = {}
+    blas = build.get("Build Dependencies", {}).get("blas", {})
     builds = [np.__version__, blas.get("name"), blas.get("version")]
     h = hashlib.sha256(json.dumps([tower, builds], sort_keys=True).encode("utf-8"))
     for name in sorted(n for n in model.params if n.startswith("image/")):
@@ -298,13 +303,18 @@ def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) 
         pooled = M.image_features(model, pixel_batch(list(missing.values()))).data
         stored.update(zip(missing, pooled))
         rows = sorted(stored)
+        tmp = Path(f"{path}.{os.getpid()}.tmp")  # concurrent runs never share a temporary file
         try:
             path.parent.mkdir(exist_ok=True)
             M.write_tensor_file(
                 path, {"key": key, "rows": rows}, {"features": np.stack([stored[d] for d in rows])},
-                tmp=f"{path}.{os.getpid()}.tmp",  # concurrent runs never share a temporary file
+                tmp=tmp,
             )
-        except OSError as exc:
+        except BaseException as exc:  # only a SIGKILL leaves the temporary file behind
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            if not isinstance(exc, OSError):
+                raise
             say(f"image features not stored at {path}: {exc}")
     return {r.id: stored[d] for r, d in zip(records, digests)}
 
