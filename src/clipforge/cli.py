@@ -46,7 +46,6 @@ from .training import (
 )
 
 ENV_PREFIX = "CLIPFORGE_"
-SUPPORTED_K = (1, 5, 10)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,18 +144,6 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _parse_k(text: str) -> tuple:
-    try:
-        ks = tuple(sorted(int(part) for part in text.split(",") if part))
-    except ValueError as exc:
-        raise ConfigError(f"bad --k value {text!r}: {exc}") from exc
-    if ks != SUPPORTED_K:
-        raise ConfigError(
-            f"metric columns are fixed at k={','.join(map(str, SUPPORTED_K))}; got {text!r}"
-        )
-    return ks
-
-
 def _select_records(dataset, dataset_dir, which: str):
     if which == "all":
         return dataset.records
@@ -165,7 +152,6 @@ def _select_records(dataset, dataset_dir, which: str):
 
 
 def cmd_eval(args) -> int:
-    _parse_k(args.k)
     model = M.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
     vocab = Vocabulary.for_dataset(dataset)
@@ -189,15 +175,14 @@ def cmd_eval(args) -> int:
         "split": args.split,
         "direction": args.direction,
         "languages": ",".join(languages or []),
-        "k": args.k,
-        "baseline": args.baseline or "",
     }
     dataset_id = manifest_digest(args.dataset)
     split_digest = {}  # a split file decides which records a split holds; "all" reads none
     if args.split != "all":
         split_digest["split_digest"] = file_sha256(Path(args.dataset) / SPLIT_NAME)
     # hash content digests instead of paths so identical runs in different
-    # directories produce byte-identical reports
+    # directories produce byte-identical reports; only settings that decide the
+    # rows count, so --baseline (it writes only the deltas file) is left out
     identity = dict(
         effective,
         checkpoint=file_sha256(args.checkpoint)[:12],
@@ -224,7 +209,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # only now: a refused eval leaves no directory
     E.write_report_csv(report, out / "report.csv")
     E.write_report_jsonl(report, out / "report.jsonl")
-    _write_effective(out / "eval.effective", effective)
+    _write_effective(out / "eval.effective", {**effective, "baseline": args.baseline})
     if record:  # a training output dir: register the report, relative so the dir can move
         write_record(out, record + [{"record": "report", "path": "report.jsonl"}])
 
@@ -386,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
     p.add_argument("--direction", choices=E.DIRECTIONS, default=E.TEXT_TO_IMAGE)
     p.add_argument("--languages", default="", help="comma-separated language subset")
-    p.add_argument("--k", default="1,5,10", help="recall/MRR cutoffs (fixed set)")
     p.add_argument("--baseline", default="", help="published table to compare: <source>:<model>")
     p.set_defaults(func=cmd_eval)
 

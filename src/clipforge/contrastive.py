@@ -4,8 +4,6 @@ The pairing convention is diagonal: within a batch, caption i is the unique
 positive for image i.  Duplicate captions in a batch are not deduplicated.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -15,22 +13,14 @@ from .errors import DimensionError
 MAX_SCALE = 100.0
 
 
-@dataclass
-class SimilarityMatrix:
-    """Scaled cosine similarities: image rows against text columns."""
-
-    logits: T.Tensor
-    scale_used: float
-
-
 def _as_tensor(value) -> T.Tensor:
     if isinstance(value, T.Tensor):
         return value
     return T.Tensor(np.asarray(value, dtype=np.float32))
 
 
-def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale) -> SimilarityMatrix:
-    """Pairwise scaled similarities between row-normalized embedding matrices.
+def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale) -> T.Tensor:
+    """Logits of scaled cosine similarities: image rows against text columns.
 
     The multiplier is exp(logit_scale) clamped to MAX_SCALE; the clamp keeps
     the temperature finite while staying differentiable below the ceiling.
@@ -50,18 +40,15 @@ def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale) -> Similari
         )
     scale = T.clamp_max(T.exp(_as_tensor(logit_scale)), MAX_SCALE)
     raw = T.matmul(image_emb, T.swap_axes(text_emb, 0, 1))
-    logits = T.mul(raw, scale)
-    return SimilarityMatrix(logits=logits, scale_used=float(scale.data))
+    return T.mul(raw, scale)
 
 
-def clip_loss(sim) -> T.Tensor:
+def clip_loss(logits: T.Tensor) -> T.Tensor:
     """Symmetric InfoNCE loss over a square similarity matrix.
 
     Averages the image-to-text and text-to-image cross-entropies, each with
-    the diagonal as targets.  Accepts a SimilarityMatrix or a raw logits
-    Tensor.
+    the diagonal as targets.
     """
-    logits = sim.logits if isinstance(sim, SimilarityMatrix) else sim
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise DimensionError(f"clip_loss: logits must be square, got {logits.shape}")
     targets = np.arange(logits.shape[0])

@@ -164,12 +164,8 @@ def choose_language(image_id: str, languages, epoch: int, seed: int) -> str:
     return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
 
 
-def sample_epoch(records, epoch: int, seed: int, languages=None) -> dict:
+def sample_epoch(records, epoch: int, seed: int, languages) -> dict:
     """Pick one caption language per image for an epoch: {image id: language}."""
-    if languages is None:
-        if not records:
-            raise ConfigError("sample_epoch: no records and no explicit language set")
-        languages = list(records[0].captions)
     languages = list(languages)
     if not languages:
         raise ConfigError("sample_epoch: empty language set")

@@ -210,7 +210,7 @@ def evaluate(
     language's captions for each image.
 
     Images are embedded ``batch_size`` records at a time, one row per
-    record, once they are known to have the model's image size.  Per
+    record; ``encode_image`` refuses another image size.  Per
     language, each distinct caption string is tokenized and embedded once,
     and its row is gathered back to every record that repeats it.  Each row
     depends only on its own caption, up to the last bits that the batch's
@@ -236,15 +236,8 @@ def evaluate(
         raise EvaluationError(f"languages listed more than once: {repeated}")
 
     model = M.frozen(model)  # no forward records a graph, whatever the caller's requires_grad
-    pixels = pixel_batch(records)
-    side = model.config.image_size
-    if pixels.shape[2:] != (side, side):
-        raise EvaluationError(
-            f"image size mismatch: checkpoint expects {side}px,"
-            f" dataset has {pixels.shape[-1]}px"
-        )
     image_emb = _batched(
-        lambda chunk: M.encode_image(model, chunk).data, (pixels,), batch_size
+        lambda chunk: M.encode_image(model, chunk).data, (pixel_batch(records),), batch_size
     )
 
     max_len = model.config.max_text_len
@@ -451,8 +444,6 @@ class BaselineComparison:
     languages: tuple
     deltas: dict
     average_delta: dict
-    recomputed_average: dict
-    average_flags: dict
 
 
 def compare_to_baseline(report: MetricReport, baseline: BaselineTable) -> BaselineComparison:
@@ -461,10 +452,8 @@ def compare_to_baseline(report: MetricReport, baseline: BaselineTable) -> Baseli
     Report languages are matched to table entries by ``baseline_keys`` and
     keep their own names in the deltas.
 
-    The baseline average is recomputed from its own per-language entries;
-    any stored average cell further than 0.005 from the recomputed mean is
-    flagged.  Average deltas use the stored cell when present, otherwise the
-    recomputed mean.
+    Average deltas use the table's stored average cell when present,
+    otherwise the mean of its per-language entries.
     """
     keys = baseline_keys(report.rows, baseline)
     if not keys:
@@ -479,20 +468,16 @@ def compare_to_baseline(report: MetricReport, baseline: BaselineTable) -> Baseli
             metric: getattr(row, metric) - value
             for metric, value in baseline.entries[key].items()
         }
-    recomputed = baseline.recompute_average()
-    reference = dict(recomputed)
+    reference = baseline.recompute_average()
     reference.update(baseline.average)
     average_delta = {
         metric: getattr(report.average, metric) - value
         for metric, value in reference.items()
     }
-    flags = baseline.average_discrepancies()
     return BaselineComparison(
         model=baseline.model,
         source=baseline.source,
         languages=tuple(keys),
         deltas=deltas,
         average_delta=average_delta,
-        recomputed_average=recomputed,
-        average_flags=flags,
     )

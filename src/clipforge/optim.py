@@ -220,9 +220,13 @@ def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float, weig
 # ---------------------------------------------------------------------------
 
 def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:
-    """Linear warmup to base_lr, then cosine decay to zero at total_steps."""
-    if warmup_steps > 0 and step < warmup_steps:
-        return base_lr * step / warmup_steps
+    """Linear warmup to base_lr, then cosine decay to zero at total_steps.
+
+    ``step`` is 0-based and warmup counts from 1, so the first step's LR is
+    base_lr / warmup_steps, never a zero-lr no-op.
+    """
+    if step + 1 < warmup_steps:
+        return base_lr * (step + 1) / warmup_steps
     span = max(1, total_steps - warmup_steps)
-    progress = min(1.0, (step - warmup_steps) / span)
+    progress = min(1.0, max(0, step - warmup_steps) / span)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))

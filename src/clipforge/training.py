@@ -187,13 +187,6 @@ def run_id_of(config: RunConfig) -> str:
 # batches
 # ---------------------------------------------------------------------------
 
-def _scheduled_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:
-    # 1-based warmup count so the very first step is never a zero-lr no-op
-    if step < warmup_steps:
-        return optim.lr_schedule(step + 1, total_steps, base_lr, warmup_steps)
-    return optim.lr_schedule(step, total_steps, base_lr, warmup_steps)
-
-
 def _iter_batches(items, batch_size: int, rng=None):
     order = rng.permutation(len(items)) if rng is not None else np.arange(len(items))
     for start in range(0, len(items), batch_size):
@@ -493,7 +486,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                     f"non-finite loss {value} at epoch {epoch} step {state.step_count}"
                 )
             loss.backward()
-            last_lr = _scheduled_lr(state.step_count, total_steps, config.lr, config.warmup_steps)
+            last_lr = optim.lr_schedule(state.step_count, total_steps, config.lr, config.warmup_steps)
             step_fn(trainable, {name: p.grad for name, p in trainable.items()}, state, last_lr,
                     config.weight_decay)
             model.zero_grad()  # no step's gradients live through the next forward

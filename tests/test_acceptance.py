@@ -375,7 +375,7 @@ def _run_steps(model, records, languages, vocab, steps, batch_size=16):
             model.zero_grad()
             loss.backward()
             grads = {name: p.grad for name, p in trainable.items()}
-            lr = training._scheduled_lr(step, steps, 3e-4, 20)
+            lr = optim.lr_schedule(step, steps, 3e-4, 20)
             optim.lion_step(trainable, grads, state, lr)
             step += 1
         epoch += 1
@@ -576,7 +576,7 @@ def _paired_run(step_fn, dataset_dir, preset="b-b"):
             model.zero_grad()
             loss.backward()
             grads = {name: p.grad for name, p in model.params.items()}
-            lr = training._scheduled_lr(step, PAIRED_STEPS, 3e-4, 20)
+            lr = optim.lr_schedule(step, PAIRED_STEPS, 3e-4, 20)
             step_fn(model.params, grads, state, lr)
             last = float(loss.data)
             step += 1

@@ -210,12 +210,14 @@ def test_eval_registers_report_in_run_record(run_dir):
     assert any(l.get("record") == "report" for l in lines)
 
 
-def test_eval_k_is_fixed(run_dir, dataset_dir, tmp_path, capsys):
-    base = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
-            str(dataset_dir), "--output", str(tmp_path / "e")]
-    code, _, err = run(capsys, *base, "--k", "1,5,20")
-    assert code == 1 and err.startswith("E_CONFIG: ")
-    assert run(capsys, *base, "--k", "10,5,1")[0] == 0  # order-insensitive
+def test_eval_has_no_k_option(run_dir, dataset_dir, tmp_path, capsys):
+    # the metric columns fix the cutoffs at 1, 5 and 10
+    code, _, err = run(
+        capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
+        str(dataset_dir), "--output", str(tmp_path / "e"), "--k", "1,5,10",
+    )
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_vocab_mismatch(run_dir, tmp_path, capsys):
@@ -293,6 +295,18 @@ def test_eval_baseline_compares_english_per_language(run_dir, dataset_dir, tmp_p
     assert float(rows[1].split(",")[1]) == pytest.approx(report.rows["eng_Latn"].r_at_1 - 47.2)
 
 
+def test_eval_baseline_leaves_the_report_as_it_is(run_dir, dataset_dir, tmp_path, capsys):
+    # the table decides only the deltas file, not the rows or their identity
+    base = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(dataset_dir)]
+    assert run(capsys, *base, "--output", str(tmp_path / "plain"))[0] == 0
+    assert run(capsys, *base, "--output", str(tmp_path / "cmp"),
+               "--baseline", "xtd10:nllb-clip-base")[0] == 0
+    for name in ("report.jsonl", "report.csv"):
+        assert (tmp_path / "cmp" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    effective = (tmp_path / "cmp" / "eval.effective").read_text(encoding="utf-8")
+    assert "baseline=xtd10:nllb-clip-base\n" in effective
+
+
 def test_eval_baseline_errors(run_dir, dataset_dir, tmp_path, capsys):
     base = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
             str(dataset_dir), "--output", str(tmp_path / "e")]
@@ -354,8 +368,8 @@ def test_eval_of_records_of_another_image_size_is_refused(run_dir, dataset_dir, 
         capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
         "--output", str(out), "--split", "val",
     )
-    assert status == 1 and err.startswith("E_EVAL: ") and len(err.splitlines()) == 1
-    assert "image size mismatch: checkpoint expects 16px, dataset has 8px" in err
+    assert status == 1 and len(err.splitlines()) == 1
+    assert err.strip() == "E_DIMENSION: encode_image: expected 16x16 images, got 8x8"
     assert not out.exists()  # eval refused before writing any output
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clipforge.tensor as T
-from clipforge.contrastive import MAX_SCALE, SimilarityMatrix, clip_loss, similarity
+from clipforge.contrastive import MAX_SCALE, clip_loss, similarity
 from clipforge.errors import DimensionError
 from fdcheck import max_rel_error, numeric_grads
 
@@ -25,29 +25,29 @@ def _unit_rows(n, d, rng=RNG, dtype=np.float32):
 def test_identical_embeddings_unit_diagonal():
     e = T.Tensor(_unit_rows(5, 8))
     sim = similarity(e, e, 0.0)
-    assert sim.scale_used == pytest.approx(1.0)
-    np.testing.assert_allclose(np.diag(sim.logits.data), 1.0, atol=1e-5)
+    np.testing.assert_allclose(np.diag(sim.data), 1.0, atol=1e-5)
 
 
 def test_orthogonal_rows_zero_off_diagonal():
     e = T.Tensor(np.eye(4, 6, dtype=np.float32))
     sim = similarity(e, e, math.log(3.0))
-    off = sim.logits.data[~np.eye(4, dtype=bool)]
+    off = sim.data[~np.eye(4, dtype=bool)]
     np.testing.assert_allclose(off, 0.0, atol=1e-6)
-    np.testing.assert_allclose(np.diag(sim.logits.data), 3.0, rtol=1e-5)
+    np.testing.assert_allclose(np.diag(sim.data), 3.0, rtol=1e-5)
 
 
 def test_scale_bound_at_reference_temperature():
-    sim = similarity(T.Tensor(_unit_rows(16, 12)), T.Tensor(_unit_rows(16, 12)), 2.659)
-    assert sim.scale_used <= 14.29
-    assert np.abs(sim.logits.data).max() <= 14.29
+    img = T.Tensor(_unit_rows(16, 12))
+    sim = similarity(img, T.Tensor(_unit_rows(16, 12)), 2.659)
+    assert np.diag(similarity(img, img, 2.659).data).max() <= 14.29  # the scale itself
+    assert np.abs(sim.data).max() <= 14.29
 
 
 def test_scale_clamped_at_ceiling():
     e = T.Tensor(_unit_rows(3, 4))
     sim = similarity(e, e, math.log(1000.0))
-    assert sim.scale_used == MAX_SCALE
-    assert np.abs(sim.logits.data).max() <= MAX_SCALE + 1e-4
+    np.testing.assert_allclose(np.diag(sim.data), MAX_SCALE, rtol=1e-6)
+    assert np.abs(sim.data).max() <= MAX_SCALE + 1e-4
 
 
 def test_similarity_row_count_mismatch():
@@ -72,9 +72,10 @@ def test_logit_magnitude_bounded_by_scale(n, d, seed, log_scale):
     rng = np.random.default_rng(seed)
     img = T.Tensor(_unit_rows(n, d, rng))
     txt = T.Tensor(_unit_rows(n, d, rng))
-    sim = similarity(img, txt, log_scale)
-    assert np.abs(sim.logits.data).max() <= sim.scale_used + 1e-4
-    assert sim.scale_used == pytest.approx(min(math.exp(log_scale), MAX_SCALE), rel=1e-6)
+    scale = min(math.exp(log_scale), MAX_SCALE)
+    assert np.abs(similarity(img, txt, log_scale).data).max() <= scale + 1e-4
+    # unit rows against themselves put the scale on the diagonal
+    np.testing.assert_allclose(np.diag(similarity(img, img, log_scale).data), scale, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -102,16 +102,17 @@ def test_split_validates_inputs():
 
 def test_single_language_always_chosen():
     records = [rec(i, 5.0) for i in range(20)]
-    plan = sample_epoch(records, epoch=0, seed=1)
+    plan = sample_epoch(records, epoch=0, seed=1, languages=["eng_Latn"])
     assert set(plan.values()) == {"eng_Latn"}
 
 
 def test_plan_deterministic_and_order_independent():
-    records = [rec(i, 5.0, langs=("eng_Latn", "aab_Ciph", "aac_Ciph")) for i in range(30)]
-    a = sample_epoch(records, epoch=5, seed=2)
-    b = sample_epoch(list(reversed(records)), epoch=5, seed=2)
+    langs = ("eng_Latn", "aab_Ciph", "aac_Ciph")
+    records = [rec(i, 5.0, langs=langs) for i in range(30)]
+    a = sample_epoch(records, epoch=5, seed=2, languages=langs)
+    b = sample_epoch(list(reversed(records)), epoch=5, seed=2, languages=langs)
     assert a == b
-    c = sample_epoch(records, epoch=6, seed=2)
+    c = sample_epoch(records, epoch=6, seed=2, languages=langs)
     assert c != a
 
 

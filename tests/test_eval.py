@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from clipforge import data, evaluation
 from clipforge import model as M
 from clipforge.data import Vocabulary, generate_synthetic_corpus, pixel_batch, tokenize_batch
-from clipforge.errors import ComparisonError, ConfigError, EvaluationError
+from clipforge.errors import ComparisonError, ConfigError, DimensionError, EvaluationError
 from clipforge.evaluation import (
     IMAGE_TO_TEXT,
     METRIC_NAMES,
@@ -348,7 +348,7 @@ def test_evaluate_refuses_images_of_another_size():
         [StubRecord(r.id, r.captions, r.pixel_array[:8, :8]) for r in dataset.records],
         dataset.languages,
     )
-    with pytest.raises(EvaluationError, match="checkpoint expects 16px, dataset has 8px"):
+    with pytest.raises(DimensionError, match="encode_image: expected 16x16 images, got 8x8"):
         evaluate(micro_model(vocab.size, 6), small, vocab)
 
 
@@ -607,7 +607,7 @@ def test_compare_report_to_itself_is_zero():
     for language in report.rows:
         assert all(v == 0.0 for v in cmp.deltas[language].values())
     assert all(v == 0.0 for v in cmp.average_delta.values())
-    assert cmp.average_flags == {}
+    assert mirror.average_discrepancies() == {}
 
 
 def test_compare_requires_shared_languages():
@@ -640,8 +640,8 @@ def test_compare_flags_inconsistent_average():
         average={"r_at_1": 16.0},  # true mean is 15.0
     )
     cmp = compare_to_baseline(report, table)
-    assert cmp.average_flags == {"r_at_1": pytest.approx(1.0)}
-    assert cmp.recomputed_average["r_at_1"] == 15.0
+    assert table.average_discrepancies() == {"r_at_1": pytest.approx(1.0)}
+    assert table.recompute_average()["r_at_1"] == 15.0
     assert cmp.deltas[language]["r_at_1"] == pytest.approx(
         report.rows[language].r_at_1 - 10.0
     )

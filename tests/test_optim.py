@@ -321,7 +321,8 @@ def test_lion8_tracks_lion_over_many_steps():
 # ---------------------------------------------------------------------------
 
 def test_lr_schedule_endpoints():
-    assert lr_schedule(0, 100, 3e-4, 10) == 0.0
+    assert lr_schedule(0, 100, 3e-4, 10) == pytest.approx(3e-5)  # warmup counts from 1
+    assert lr_schedule(9, 100, 3e-4, 10) == 3e-4
     assert lr_schedule(10, 100, 3e-4, 10) == pytest.approx(3e-4)
     assert abs(lr_schedule(100, 100, 3e-4, 10)) < 1e-9
 
@@ -329,10 +330,35 @@ def test_lr_schedule_endpoints():
 def test_lr_schedule_warmup_linear_and_cosine_midpoint():
     base = 1e-3
     for step in range(10):
-        assert lr_schedule(step, 100, base, 10) == pytest.approx(base * step / 10)
+        assert lr_schedule(step, 100, base, 10) == pytest.approx(base * (step + 1) / 10)
     assert lr_schedule(55, 100, base, 10) == pytest.approx(base / 2)
-    values = [lr_schedule(s, 100, base, 10) for s in range(10, 101)]
+    values = [lr_schedule(s, 100, base, 10) for s in range(9, 101)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _old_lr_schedule(step, total_steps, base_lr, warmup_steps):
+    """The schedule as it was before it took the 1-based warmup in."""
+    if warmup_steps > 0 and step < warmup_steps:
+        return base_lr * step / warmup_steps
+    span = max(1, total_steps - warmup_steps)
+    progress = min(1.0, (step - warmup_steps) / span)
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+
+
+def _old_scheduled_lr(step, total_steps, base_lr, warmup_steps):
+    """The wrapper training used to put around it: warmup counted from 1."""
+    if step < warmup_steps:
+        return _old_lr_schedule(step + 1, total_steps, base_lr, warmup_steps)
+    return _old_lr_schedule(step, total_steps, base_lr, warmup_steps)
+
+
+@pytest.mark.parametrize("base", [3e-4, 1e-3, 0.7])
+def test_lr_schedule_is_bitwise_the_old_composition(base):
+    for total in (1, 2, 3, 7, 20, 63, 100):
+        for warmup in (0, 1, 2, 5, total - 1, total, total + 1, 3 * total + 4):
+            for step in range(total + 3):
+                old = _old_scheduled_lr(step, total, base, warmup)
+                assert lr_schedule(step, total, base, warmup) == old, (step, total, warmup)
 
 
 def test_lr_schedule_no_warmup():

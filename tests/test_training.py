@@ -182,7 +182,7 @@ def test_run_id_covers_the_split(dataset_dir, tmp_path):
 
 def test_scheduled_lr_never_zero():
     base, warmup, total = 3e-4, 10, 50
-    values = [training._scheduled_lr(s, total, base, warmup) for s in range(total)]
+    values = [optim.lr_schedule(s, total, base, warmup) for s in range(total)]
     assert all(v > 0 for v in values)
     assert values[warmup - 1] == pytest.approx(base)
     assert values[0] == pytest.approx(base / warmup)
