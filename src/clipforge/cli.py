@@ -169,6 +169,7 @@ def cmd_eval(args) -> int:
 
     out = Path(args.output).resolve()
     record = read_record(out)  # refused here, before any output is written
+    table = _baseline_table(args.baseline) if args.baseline else None  # refused here too
     effective = {
         "checkpoint": str(Path(args.checkpoint).resolve()),
         "dataset": str(Path(args.dataset).resolve()),
@@ -221,41 +222,43 @@ def cmd_eval(args) -> int:
         print("  ".join([f"{language:>9}"] + cells))
     print(f"report written to {out / 'report.csv'}")
 
-    if args.baseline:
-        _baseline_section(report, args.baseline, out)
+    if table:
+        _baseline_section(report, table, out)
     return 0
 
 
-def _baseline_section(report, spec_text: str, out: Path) -> None:
+def _baseline_table(spec_text: str) -> E.BaselineTable:
     source, sep, model_name = spec_text.partition(":")
     if not sep or not source or not model_name:
         raise ConfigError(
             f"--baseline wants <source>:<model>, got {spec_text!r};"
             f" available: {E.list_baseline_tables()}"
         )
-    table = E.load_baseline_table(source, model_name)
-    recomputed = table.recompute_average()
-    for metric, value in sorted(recomputed.items()):
+    return E.load_baseline_table(source, model_name)
+
+
+def _baseline_section(report, table: E.BaselineTable, out: Path) -> None:
+    for metric, value in sorted(table.recompute_average().items()):
         stored = table.average.get(metric)
         note = f" (published average {stored})" if stored is not None else ""
-        print(f"baseline {source}:{model_name} mean {metric} = {value:.2f}{note}")
+        print(f"baseline {table.source}:{table.model} mean {metric} = {value:.2f}{note}")
     for metric, gap in sorted(table.average_discrepancies().items()):
         print(f"warning: published {metric} average differs from recomputed mean by {gap:.3f}")
     keys = E.baseline_keys(report.rows, table)
     unmatched = [lang for lang in report.rows if lang not in keys]
     if unmatched:
-        print(f"no published {source}:{model_name} counterpart for: {', '.join(unmatched)}")
+        print(f"no published {table.source}:{table.model} counterpart for: {', '.join(unmatched)}")
     if not keys:
         print("no shared languages with the baseline; skipping per-language deltas")
         return
     cmp = E.compare_to_baseline(report, table)
-    path = out / f"deltas_{source}_{model_name}.csv"
+    path = out / f"deltas_{table.source}_{table.model}.csv"
     rows = [(language, cmp.deltas[language]) for language in cmp.languages]
     lines = ["language," + ",".join(E.METRIC_NAMES)]
     for name, deltas in rows + [("average", cmp.average_delta)]:
         lines.append(",".join([name] + [repr(deltas[m]) if m in deltas else "" for m in E.METRIC_NAMES]))
     M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
-    print(f"deltas against {source}:{model_name} written to {path}")
+    print(f"deltas against {table.source}:{table.model} written to {path}")
 
 
 # ---------------------------------------------------------------------------

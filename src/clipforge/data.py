@@ -55,15 +55,15 @@ class CaptionedImage:
     id: str
     aesthetic_score: float
     captions: dict
-    pixels: np.ndarray | None = None  # uint8 [H, W, 3]
-    pixel_path: Path | None = None
+    pixels: np.ndarray | None = None  # uint8 [H, W, 3]; None for a record read from disk,
+    pixel_path: Path | None = None  # whose get_pixels reads this file anew on every call
 
     def get_pixels(self) -> np.ndarray:
-        if self.pixels is None:
-            if self.pixel_path is None:
-                raise DatasetFormatError(f"record {self.id}: no pixel data or path")
-            self.pixels = read_pixel_file(self.pixel_path)
-        return self.pixels
+        if self.pixels is not None:
+            return self.pixels
+        if self.pixel_path is None:
+            raise DatasetFormatError(f"record {self.id}: no pixel data or path")
+        return read_pixel_file(self.pixel_path)
 
 
 def pixel_batch(records) -> np.ndarray:
@@ -323,8 +323,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                 f"record {record.id}: caption languages do not match the dataset language set"
             )
         rel = f"{PIXEL_DIR}/{record.id}.rgb"
-        pixels = record.get_pixels()
-        (root / rel).write_bytes(pixels.astype(np.uint8).tobytes())
+        (root / rel).write_bytes(record.get_pixels().astype(np.uint8).tobytes())
         cells = [record.id, repr(float(record.aesthetic_score)), rel]
         cells += [record.captions[lang] for lang in dataset.languages]
         lines.append("\t".join(cells))
@@ -332,7 +331,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset directory; pixel files are opened lazily."""
+    """Parse a dataset directory; each record holds its pixel file's path, read on use."""
     root = Path(path)
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():

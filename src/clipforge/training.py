@@ -275,11 +275,11 @@ def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) 
 
     Rows come from ``<dataset_dir>/image_features/<key[:16]>.nclp`` (see
     ``image_tower_key``), which holds one row per distinct pixel array.  The
-    images it lacks go through the tower in one call, and the union is
-    written back.  Each pooled row depends only on its own image, so a stored
-    row is bitwise the one the tower would give; one row is recomputed before
-    the file is used, which catches a file another BLAS build wrote.  A
-    failed write is reported through ``say`` and does not stop the run.
+    images it lacks go through the tower in one call, and the rows of
+    ``records`` alone are written back.  Each pooled row depends only on its
+    own image, so a stored row is bitwise the one the tower would give; one
+    row is recomputed before the file is used, which catches a file another
+    BLAS build wrote.  A failed write is only reported, through ``say``.
     """
     digests = [hashlib.sha256(r.get_pixels().tobytes()).hexdigest() for r in records]
     key = image_tower_key(model)
@@ -295,7 +295,7 @@ def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) 
     if missing:
         pooled = M.image_features(model, pixel_batch(list(missing.values()))).data
         stored.update(zip(missing, pooled))
-        rows = sorted(stored)
+        rows = sorted(set(digests))  # a rewritten pixel file's old row is dropped
         tmp = Path(f"{path}.{os.getpid()}.tmp")  # concurrent runs never share a temporary file
         try:
             path.parent.mkdir(exist_ok=True)

@@ -308,12 +308,17 @@ def test_eval_baseline_leaves_the_report_as_it_is(run_dir, dataset_dir, tmp_path
 
 
 def test_eval_baseline_errors(run_dir, dataset_dir, tmp_path, capsys):
-    base = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset",
-            str(dataset_dir), "--output", str(tmp_path / "e")]
-    code, _, err = run(capsys, *base, "--baseline", "justonepart")
-    assert code == 1 and err.startswith("E_CONFIG: ")
-    code, _, err = run(capsys, *base, "--baseline", "nope:nllb-clip-base")
-    assert code == 1 and err.startswith("E_COMPARISON: ")
+    # refused before the eval runs: no output directory, report, or record line
+    trained = shutil.copytree(run_dir, tmp_path / "run")
+    before = tree_digest(trained)
+    base = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(dataset_dir)]
+    for spec, kind in (("justonepart", "E_CONFIG"), ("nope:x", "E_COMPARISON")):
+        for out in (tmp_path / "e", trained):
+            code, stdout, err = run(capsys, *base, "--output", str(out), "--baseline", spec)
+            assert code == 1 and err.startswith(f"{kind}: ") and len(err.splitlines()) == 1
+            assert "evaluated" not in stdout
+    assert not (tmp_path / "e").exists()
+    assert tree_digest(trained) == before
 
 
 def test_eval_refuses_a_language_the_dataset_lacks(run_dir, dataset_dir, tmp_path, capsys):

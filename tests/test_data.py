@@ -338,6 +338,24 @@ def test_loader_is_lazy_about_pixels(tmp_path):
         ds.records[0].get_pixels()
 
 
+def test_a_record_read_from_disk_rereads_its_pixel_file_and_keeps_nothing(tmp_path):
+    ds = generate_synthetic_corpus(4, 1, image_size=16, seed=4)
+    save_dataset(ds, tmp_path)
+    record = load_dataset(tmp_path).records[1]
+    first, second = record.get_pixels(), record.get_pixels()
+    assert np.array_equal(first, ds.records[1].pixels) and np.array_equal(first, second)
+    assert first is not second and record.pixels is None
+    first[:] = 0  # a caller's array is its own
+    assert np.array_equal(record.get_pixels(), second)
+
+
+def test_a_generated_record_keeps_its_in_memory_pixels():
+    record = generate_synthetic_corpus(3, 1, image_size=16, seed=4).records[0]
+    pixels = record.pixels
+    assert pixels is not None and record.pixel_path is None
+    assert record.get_pixels() is pixels and record.pixels is pixels
+
+
 def test_loader_rejects_missing_caption(tmp_path):
     header = "id\taesthetic_score\tpixels\teng_Latn\taab_Ciph"
     rows = ["img0\t5.0\tpixels/img0.rgb\tred circle\t"]

@@ -15,6 +15,7 @@ from clipforge.data import (
     SPLIT_NAME,
     Vocabulary,
     aesthetic_filter,
+    file_sha256,
     generate_synthetic_corpus,
     load_dataset,
     load_split,
@@ -833,11 +834,16 @@ def test_a_run_of_another_image_tower_replaces_a_store_file_of_another_key(tmp_p
     assert _stored(data) == sorted([first, other])
 
 
+def _pixel_file_digests(data) -> set:
+    """sha256 of the pixel file bytes of every train and validation record."""
+    ids = [rid for part in load_split(data) for rid in part]
+    return {file_sha256(Path(data) / "pixels" / f"{rid}.rgb") for rid in ids}
+
+
 def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch):
     data = make_dataset(tmp_path / "ds")
     _frozen_run(data, tmp_path / "a")
     [path] = _stored(data)
-    rows = len(M.read_tensor_file(path)[0]["rows"])
     train_ids, _ = load_split(data)
     pixels = [data / "pixels" / f"{rid}.rgb" for rid in train_ids[:3]]
     pixels[0].write_bytes(bytes(255 - b for b in pixels[0].read_bytes()))  # an image of its own
@@ -847,7 +853,33 @@ def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch
     calls = _counted_image_features(monkeypatch)
     assert _frozen_run(data, tmp_path / "b") == expected
     assert calls == [1, 1]  # the check row, then the rewritten image
-    assert len(M.read_tensor_file(path)[0]["rows"]) == rows + 1
+    # the old row of the rewritten file is dropped: one row per distinct image of the run
+    assert len(M.read_tensor_file(path)[0]["rows"]) == len(_pixel_file_digests(data))
+
+
+def test_store_rows_are_keyed_by_the_sha256_of_the_pixel_file_bytes(tmp_path):
+    # so a store written before records stopped keeping their pixels is still read
+    data = make_dataset(tmp_path / "ds")
+    _frozen_run(data, tmp_path / "a")
+    [path] = _stored(data)
+    assert M.read_tensor_file(path)[0]["rows"] == sorted(_pixel_file_digests(data))
+
+
+def test_a_full_run_keeps_no_record_pixels(dataset_dir, tmp_path, monkeypatch):
+    loaded, load = [], training.load_dataset
+    monkeypatch.setattr(training, "load_dataset", lambda path: loaded.append(load(path)) or loaded[-1])
+    run_training(tiny_config(dataset_dir, tmp_path / "run", regime="full"))
+    [dataset] = loaded
+    assert all(r.pixel_path is not None and r.pixels is None for r in dataset.records)
+
+
+def test_the_store_fill_and_pixel_batch_keep_no_record_pixels(tmp_path):
+    data = make_dataset(tmp_path / "ds")
+    model, records, _, _ = frozen_batch(data, 60, "text-encoder")
+    rows = training.frozen_image_features(model, records, data, print)
+    assert len(rows) == len(records) and all(r.pixels is None for r in records)
+    assert pixel_batch(records).shape == (len(records), 3, 16, 16)
+    assert all(r.pixels is None for r in records)
 
 
 def test_a_truncated_store_file_is_refused_in_one_line(tmp_path):
