@@ -38,7 +38,7 @@ from .training import (
     RECORD_FILE,
     RunConfig,
     coerce_field,
-    key_value_text,
+    key_value_lines,
     read_config_file,
     read_record,
     run_training,
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _write_effective(path: Path, values: dict) -> None:
-    M.replace_file(path, [key_value_text(values).encode("utf-8")])
 
 
 def _fresh_output_dir(out: Path, force: bool, command: str) -> None:
@@ -83,17 +79,8 @@ def cmd_datagen(args) -> int:
     train_records, val_records = split(kept, args.val_fraction, seed=args.seed)
     save_dataset(dataset, out)
     save_split(out, [r.id for r in train_records], [r.id for r in val_records])
-    _write_effective(
-        out / "datagen.effective",
-        {
-            "images": args.images,
-            "languages": args.languages,
-            "seed": args.seed,
-            "image_size": args.image_size,
-            "val_fraction": args.val_fraction,
-            "threshold": args.threshold,
-        },
-    )
+    names = ("images", "languages", "seed", "image_size", "val_fraction", "threshold")
+    M.write_lines(out / "datagen.effective", key_value_lines({n: getattr(args, n) for n in names}))
     dropped = len(dataset.records) - len(kept)
     print(f"generated {len(dataset.records)} images in {len(dataset.languages)} languages")
     print(f"kept {len(kept)}, dropped {dropped} at aesthetic threshold {args.threshold}")
@@ -190,7 +177,8 @@ def cmd_eval(args) -> int:
         dataset=dataset_id,
         **split_digest,
     )
-    config_hash = hashlib.sha256(key_value_text(identity).encode("utf-8")).hexdigest()[:12]
+    text = M.lines_text(key_value_lines(identity))
+    config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
     metadata = {
         "config_hash": config_hash,
         "seed": str(model.metadata.get("seeds", "")),
@@ -210,7 +198,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # only now: a refused eval leaves no directory
     E.write_report_csv(report, out / "report.csv")
     E.write_report_jsonl(report, out / "report.jsonl")
-    _write_effective(out / "eval.effective", {**effective, "baseline": args.baseline})
+    M.write_lines(out / "eval.effective", key_value_lines({**effective, "baseline": args.baseline}))
     if record:  # a training output dir: register the report, relative so the dir can move
         write_record(out, record + [{"record": "report", "path": "report.jsonl"}])
 
@@ -254,10 +242,7 @@ def _baseline_section(report, table: E.BaselineTable, out: Path) -> None:
     cmp = E.compare_to_baseline(report, table)
     path = out / f"deltas_{table.source}_{table.model}.csv"
     rows = [(language, cmp.deltas[language]) for language in cmp.languages]
-    lines = ["language," + ",".join(E.METRIC_NAMES)]
-    for name, deltas in rows + [("average", cmp.average_delta)]:
-        lines.append(",".join([name] + [repr(deltas[m]) if m in deltas else "" for m in E.METRIC_NAMES]))
-    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    E.write_metric_csv(path, rows + [(E.AVERAGE_ROW, cmp.average_delta)], repr)
     print(f"deltas against {table.source}:{table.model} written to {path}")
 
 
@@ -267,17 +252,22 @@ def _baseline_section(report, table: E.BaselineTable, out: Path) -> None:
 
 def _load_run(run_dir: Path):
     record = read_record(run_dir)
+    path = run_dir / RECORD_FILE
     runs = [entry for entry in record if entry.get("record") == "run"]
-    # relative to run_dir; an absolute path of an older record joins to itself
-    reports = [run_dir / entry["path"] for entry in record if entry.get("record") == "report"]
+    reports = [entry.get("path") for entry in record if entry.get("record") == "report"]
     if not runs:
-        raise ConfigError(f"{run_dir / RECORD_FILE} has no run entry; is it a training output dir?")
+        raise ConfigError(f"{path} has no run entry; is it a training output dir?")
+    if not isinstance(runs[0].get("config", {}), dict):
+        raise ConfigError(f"{path}: the run entry's config is not an object")
+    if not all(isinstance(report, str) for report in reports):
+        raise ConfigError(f"{path}: a report entry has no path string")
     if not reports:
         raise ConfigError(
             f"run {runs[0].get('run_id')} in {run_dir} has no evaluation report;"
             " run the eval command with this directory as --output first"
         )
-    return runs[0], E.read_report_jsonl(reports[-1])
+    # relative to run_dir; an absolute path of an older record joins to itself
+    return runs[0], E.read_report_jsonl(run_dir / reports[-1])
 
 
 def cmd_report(args) -> int:
@@ -297,28 +287,21 @@ def cmd_report(args) -> int:
         )
     out = Path(args.output).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    columns = ["run_id", "regime", "optimizer", "preset", "direction"] + list(E.METRIC_NAMES)
-    lines = [",".join(columns)]
-    for run_line, report in loaded:
-        config = run_line.get("config", {})
-        cells = [
-            str(run_line.get("run_id", "")),
-            str(config.get("regime", "")),
-            str(config.get("optimizer", "")),
-            str(config.get("preset", "")),
-            report.direction,
-        ] + [repr(getattr(report.average, name)) for name in E.METRIC_NAMES]
-        lines.append(",".join(cells))
-    M.replace_file(out / "comparison.csv", [("\n".join(lines) + "\n").encode("utf-8")])
-    _write_effective(
+    columns = ["run_id", "regime", "optimizer", "preset", "direction", *E.METRIC_NAMES]
+    rows = [columns] + [
+        [str(run_line.get("run_id", ""))]
+        + [str(run_line.get("config", {}).get(key, "")) for key in columns[1:4]]
+        + [report.direction, *report.average.as_dict().values()]
+        for run_line, report in loaded
+    ]
+    # str of a float is its repr: the CSV holds each metric in full
+    M.write_lines(out / "comparison.csv", [",".join(map(str, row)) for row in rows])
+    M.write_lines(
         out / "report.effective",
-        {"runs": ";".join(str(d) for d in run_dirs), "allow_mixed": args.allow_mixed},
+        key_value_lines({"runs": ";".join(str(d) for d in run_dirs), "allow_mixed": args.allow_mixed}),
     )
-    print("  ".join(f"{c:>12}" for c in columns))
-    for line in lines[1:]:
-        cells = line.split(",")
-        shown = cells[:5] + [f"{float(v):.2f}" for v in cells[5:]]
-        print("  ".join(f"{c:>12}" for c in shown))
+    for row in rows:
+        print("  ".join(f"{c:>12}" if isinstance(c, str) else f"{c:>12.2f}" for c in row))
     print(f"comparison written to {out / 'comparison.csv'}")
     return 0
 

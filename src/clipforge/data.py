@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError
-from .model import replace_file
+from .model import read_lines, write_lines
 
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
@@ -313,44 +313,45 @@ def read_pixel_file(path) -> np.ndarray:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write manifest + raw pixel files under a directory."""
-    root = Path(path)
-    (root / PIXEL_DIR).mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(["id", "aesthetic_score", "pixels"] + list(dataset.languages))]
+    """Write manifest + raw pixel files under a directory.  A record whose
+    caption languages are not the dataset's, or a field that holds a tab or a
+    line break, is refused before anything is written."""
+    header = ["id", "aesthetic_score", "pixels", *dataset.languages]
+    rows = []
     for record in dataset.records:
         if set(record.captions) != set(dataset.languages):
             raise DatasetFormatError(
                 f"record {record.id}: caption languages do not match the dataset language set"
             )
-        rel = f"{PIXEL_DIR}/{record.id}.rgb"
-        (root / rel).write_bytes(record.get_pixels().astype(np.uint8).tobytes())
-        cells = [record.id, repr(float(record.aesthetic_score)), rel]
-        cells += [record.captions[lang] for lang in dataset.languages]
-        lines.append("\t".join(cells))
-    replace_file(root / MANIFEST_NAME, [("\n".join(lines) + "\n").encode("utf-8")])
+        rows.append([record.id, repr(float(record.aesthetic_score)), f"{PIXEL_DIR}/{record.id}.rgb",
+                     *(record.captions[lang] for lang in dataset.languages)])
+    bad = [(row[0], c) for row in [header, *rows] for c in row if "\t" in c or "\n" in c or "\r" in c]
+    if bad:
+        raise DatasetFormatError(
+            f"manifest row {bad[0][0]!r}: field {bad[0][1]!r} holds a tab or a line break"
+        )
+    root = Path(path)
+    (root / PIXEL_DIR).mkdir(parents=True, exist_ok=True)
+    for record, row in zip(dataset.records, rows):
+        (root / row[2]).write_bytes(record.get_pixels().astype(np.uint8).tobytes())
+    write_lines(root / MANIFEST_NAME, ["\t".join(row) for row in [header, *rows]])
 
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset directory; each record holds its pixel file's path, read on use."""
     root = Path(path)
     manifest = root / MANIFEST_NAME
-    if not manifest.is_file():
-        raise DatasetFormatError(f"no manifest at {manifest}")
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{manifest}: empty manifest")
-    header = lines[0].split("\t")
+    lines = read_lines(manifest, DatasetFormatError)
+    header = lines[0].split("\t") if lines else []
     if header[:3] != ["id", "aesthetic_score", "pixels"]:
         raise DatasetFormatError(
             f"{manifest}: header must start with id/aesthetic_score/pixels, got {header[:3]}"
         )
     languages = header[3:]
-    if not languages:
-        raise DatasetFormatError(f"{manifest}: no language columns in header")
-    if len(set(languages)) != len(languages):
-        raise DatasetFormatError(f"{manifest}: duplicate language column in header")
-    if any(not lang for lang in languages):
-        raise DatasetFormatError(f"{manifest}: empty language code in header")
+    if not languages or "" in languages or len(set(languages)) != len(languages):
+        raise DatasetFormatError(
+            f"{manifest}: header needs distinct, non-empty language codes, got {languages}"
+        )
 
     records = []
     seen = set()
@@ -382,29 +383,20 @@ def load_dataset(path) -> Dataset:
                     f"{manifest}:{lineno}: record {rid!r} is missing its {lang} caption"
                 )
             captions[lang] = caption
-        records.append(
-            CaptionedImage(
-                id=rid,
-                aesthetic_score=score,
-                captions=captions,
-                pixel_path=root / rel,
-            )
-        )
+        records.append(CaptionedImage(rid, score, captions, pixel_path=root / rel))
     return Dataset(records=records, languages=languages)
 
 
 def save_split(dataset_path, train_ids, val_ids) -> None:
     lines = [f"{rid}\ttrain" for rid in train_ids] + [f"{rid}\tval" for rid in val_ids]
-    replace_file(Path(dataset_path) / SPLIT_NAME, [("\n".join(lines) + "\n").encode("utf-8")])
+    write_lines(Path(dataset_path) / SPLIT_NAME, lines)
 
 
 def load_split(dataset_path):
     path = Path(dataset_path) / SPLIT_NAME
-    if not path.is_file():
-        raise DatasetFormatError(f"no split file at {path}")
     train_ids, val_ids = [], []
     first_line: dict = {}  # record id -> line that listed it
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, DatasetFormatError), start=1):
         rid, _, label = line.partition("\t")
         if rid in first_line:
             raise DatasetFormatError(

@@ -15,11 +15,9 @@ against them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -275,59 +273,53 @@ def evaluate(
 # report serialization
 # ---------------------------------------------------------------------------
 
+def write_metric_csv(path, rows, cell) -> None:
+    """CSV of a language column and one column per metric: one line per
+    (name, {metric: value}) pair of ``rows``, each value as ``cell(value)``, a
+    metric the pair lacks left blank."""
+    lines = [",".join(["language", *METRIC_NAMES])]
+    for name, values in rows:
+        cells = [cell(values[m]) if m in values else "" for m in METRIC_NAMES]
+        lines.append(",".join([name, *cells]))
+    M.write_lines(path, lines)
+
+
 def write_report_csv(report: MetricReport, path) -> None:
     """Two-decimal CSV: one row per language, average row last."""
-    lines = ["language," + ",".join(METRIC_NAMES)]
-    for language, row in report.rows.items():
-        cells = ",".join(f"{getattr(row, name):.2f}" for name in METRIC_NAMES)
-        lines.append(f"{language},{cells}")
-    cells = ",".join(f"{getattr(report.average, name):.2f}" for name in METRIC_NAMES)
-    lines.append(f"{AVERAGE_ROW},{cells}")
-    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    rows = [(language, row.as_dict()) for language, row in report.rows.items()]
+    write_metric_csv(path, rows + [(AVERAGE_ROW, report.average.as_dict())], "{:.2f}".format)
 
 
 def write_report_jsonl(report: MetricReport, path) -> None:
     """Line-delimited full-precision variant carrying run metadata."""
-    lines = [
-        json.dumps(
-            {
-                "record": "run",
-                "direction": report.direction,
-                "metadata": report.metadata,
-            },
-            sort_keys=True,
-        )
-    ]
-    for language, row in report.rows.items():
-        lines.append(
-            json.dumps({"record": "language", "language": language, **row.as_dict()}, sort_keys=True)
-        )
-    lines.append(json.dumps({"record": AVERAGE_ROW, **report.average.as_dict()}, sort_keys=True))
-    M.replace_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    M.write_json_lines(path, [
+        {"record": "run", "direction": report.direction, "metadata": report.metadata},
+        *({"record": "language", "language": language, **row.as_dict()}
+          for language, row in report.rows.items()),
+        {"record": AVERAGE_ROW, **report.average.as_dict()},
+    ])
 
 
 def read_report_jsonl(path) -> MetricReport:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        entries = [json.loads(line) for line in lines if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EvaluationError(f"cannot read report {path}: {exc}") from exc
+    """Inverse of ``write_report_jsonl``.  A report that lacks a line or a field,
+    or holds one of another type, is refused with one ``E_EVAL`` line naming it."""
+    entries = M.read_json_lines(path, EvaluationError)
     if not entries or entries[0].get("record") != "run" or entries[-1].get("record") != AVERAGE_ROW:
         raise EvaluationError(f"report {path} is missing its run or average line")
     head, *language_lines, tail = entries
-    rows = {}
-    try:
-        for entry in language_lines:
-            rows[entry["language"]] = MetricRow(**{m: entry[m] for m in METRIC_NAMES})
-        average = MetricRow(**{m: tail[m] for m in METRIC_NAMES})
-        return MetricReport(
-            direction=head["direction"],
-            rows=rows,
-            average=average,
-            metadata=head.get("metadata", {}),
+    direction, metadata = head.get("direction"), head.get("metadata", {})
+    names = [entry.get("language") for entry in language_lines]
+    metrics = [[entry.get(m) for m in METRIC_NAMES] for entry in [*language_lines, tail]]
+    if not (
+        all(isinstance(v, str) for v in (direction, *names)) and isinstance(metadata, dict)
+        and all(type(v) in (int, float) for values in metrics for v in values)
+    ):
+        raise EvaluationError(
+            f"report {path}: a field is missing or of another type (the direction and the"
+            " languages are strings, the metadata an object, the metrics numbers)"
         )
-    except KeyError as exc:
-        raise EvaluationError(f"report {path} is missing field {exc}") from exc
+    *rows, average = [MetricRow(*values) for values in metrics]
+    return MetricReport(direction, dict(zip(names, rows)), average, metadata)
 
 
 # ---------------------------------------------------------------------------

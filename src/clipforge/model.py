@@ -409,7 +409,7 @@ def count_parameters(model: DualEncoderModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container
+# files: atomic replacement, text lines, the checkpoint container
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"NCLP"
@@ -430,6 +430,53 @@ def replace_file(path, chunks, tmp=None) -> None:
         for chunk in chunks:
             fh.write(chunk)
     os.replace(tmp, path)
+
+
+def lines_text(lines) -> str:
+    """``lines`` (strings without line breaks), each ended by "\\n"."""
+    return "".join(f"{line}\n" for line in lines)
+
+
+def write_lines(path, lines) -> None:
+    """Replace the file at ``path`` with ``lines_text(lines)`` in UTF-8."""
+    replace_file(path, [lines_text(lines).encode("utf-8")])
+
+
+def read_lines(path, error) -> list:
+    """Lines of a UTF-8 file, split only at "\\n", "\\r\\n" or "\\r" (a field may
+    hold U+2028); an unreadable file or non-UTF-8 line is refused as ``error(message)``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    lines = []
+    for number, line in enumerate(raw.splitlines(), start=1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise error(f"{path}:{number}: not UTF-8 text") from None
+    return lines
+
+
+def write_json_lines(path, entries) -> None:
+    """One sorted-key JSON object per line, in ASCII: a torn line is never torn UTF-8."""
+    write_lines(path, (json.dumps(entry, sort_keys=True) for entry in entries))
+
+
+def read_json_lines(path, error) -> list:
+    """The objects of a ``write_json_lines`` file.  An unparsable last line is
+    torn and dropped; any other line that is not a JSON object is refused as
+    ``error(message)`` naming the file and the line."""
+    lines = read_lines(path, error)
+    entries = []
+    for number, line in enumerate(lines, start=1):
+        try:  # {**...} refuses JSON that is not an object
+            entries.append({**json.loads(line)})
+        except (TypeError, ValueError):
+            if number < len(lines):
+                raise error(f"{path}:{number}: not a JSON object") from None
+    return entries
 
 
 def write_tensor_file(path, header: dict, arrays: dict, tmp=None) -> None:

@@ -132,12 +132,8 @@ def coerce_field(name: str, text: str):
 
 def read_config_file(path) -> dict:
     """Line-oriented key=value file; blank lines and # comments are skipped."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(M.read_lines(path, ConfigError), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -148,12 +144,12 @@ def read_config_file(path) -> dict:
     return values
 
 
-def key_value_text(values: dict) -> str:
-    """``key=value`` lines sorted by key, each ending in a newline."""
-    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+def key_value_lines(values: dict) -> list:
+    """``key=value`` lines sorted by key, as ``read_config_file`` reads them."""
+    return [f"{key}={values[key]}" for key in sorted(values)]
 
 
-def config_to_text(config: RunConfig, skip=()) -> str:
+def config_lines(config: RunConfig, skip=()) -> list:
     values = {
         field.name: getattr(config, field.name)
         for field in dataclasses.fields(config)
@@ -161,7 +157,12 @@ def config_to_text(config: RunConfig, skip=()) -> str:
     }
     if "languages" in values:
         values["languages"] = ",".join(values["languages"])
-    return key_value_text(values)
+    return key_value_lines(values)
+
+
+def config_to_text(config: RunConfig, skip=()) -> str:
+    """The text of ``config.effective``; ``run_id_of`` hashes it without the paths."""
+    return M.lines_text(config_lines(config, skip))
 
 
 def run_id_of(config: RunConfig) -> str:
@@ -321,23 +322,16 @@ def read_record(out) -> list:
     the whole file, so only a killed append of an older version can tear the last
     line: it is dropped.  Any other unparsable line is refused."""
     path = Path(out) / RECORD_FILE
-    lines = path.read_bytes().splitlines() if path.exists() else []
-    entries = []
-    for number, line in enumerate(lines, start=1):
-        try:  # {**...} refuses JSON that is not an object
-            entries.append({**json.loads(line)})
-        except (TypeError, ValueError):  # not an object, bad JSON or torn UTF-8
-            if number < len(lines):
-                raise ConfigError(
-                    f"{path}:{number}: unparsable run record line; use --force to start over"
-                ) from None
-    return entries
+    if not path.exists():
+        return []
+    return M.read_json_lines(
+        path, lambda message: ConfigError(f"{message}; use --force to start over")
+    )
 
 
 def write_record(out, entries) -> None:
     """Replace the run record in ``out`` with ``entries``, one JSON line each."""
-    text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
-    M.replace_file(Path(out) / RECORD_FILE, [text.encode("utf-8")])
+    M.write_json_lines(Path(out) / RECORD_FILE, entries)
 
 
 @dataclass(frozen=True)
@@ -461,7 +455,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         image_cache = frozen_image_features(
             model, train_records + val_records, config.dataset_dir, say
         )
-    M.replace_file(out / EFFECTIVE_CONFIG, [config_to_text(config).encode("utf-8")])
+    M.write_lines(out / EFFECTIVE_CONFIG, config_lines(config))
     write_record(out, record)
 
     trainable = {name: p for name, p in model.params.items() if p.requires_grad}

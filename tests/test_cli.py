@@ -658,6 +658,91 @@ def test_report_reads_the_report_eval_registered_over_a_torn_record_tail(
 
 
 # ---------------------------------------------------------------------------
+# damaged text files
+# ---------------------------------------------------------------------------
+
+def _bad_byte(path):
+    """Start the file's middle line with a byte that is not UTF-8; its line number."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = b"\xff" + lines[middle]
+    path.write_bytes(b"".join(lines))
+    return middle + 1
+
+
+def _edit_json_line(path, index, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[index] = edit(json.loads(lines[index]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _array_line(path):
+    """Replace the report's first language line with JSON that is not an object; its line number."""
+    _edit_json_line(path, 1, lambda entry: "[1]")
+    return 2
+
+
+DAMAGES = {
+    "bad-byte": _bad_byte,
+    "array-line": _array_line,
+    "report-without-path": lambda path: _edit_json_line(
+        path, -1, lambda entry: json.dumps({"record": "report"})
+    ),
+    "run-config-not-object": lambda path: _edit_json_line(
+        path, 0, lambda entry: json.dumps({**entry, "config": "full"})
+    ),
+    "metric-not-number": lambda path: _edit_json_line(
+        path, -1, lambda entry: json.dumps({**entry, "r_at_1": "x"})
+    ),
+}
+CODES = {
+    "manifest": "E_DATASET_FORMAT", "splits": "E_DATASET_FORMAT", "config": "E_CONFIG",
+    "record": "E_CONFIG", "report": "E_EVAL",
+}
+
+
+@pytest.mark.parametrize("name, command, damage", [
+    ("manifest", "train", "bad-byte"),
+    ("manifest", "eval", "bad-byte"),
+    ("splits", "train", "bad-byte"),
+    ("splits", "eval", "bad-byte"),
+    ("config", "train", "bad-byte"),
+    ("record", "train", "bad-byte"),
+    ("record", "eval", "bad-byte"),
+    ("record", "report", "bad-byte"),
+    ("report", "report", "bad-byte"),
+    ("report", "report", "array-line"),
+    ("record", "report", "report-without-path"),
+    ("record", "report", "run-config-not-object"),
+    ("report", "report", "metric-not-number"),
+])
+def test_a_damaged_text_file_is_refused_in_one_line(
+    dataset_dir, run_dir, tmp_path, capsys, name, command, damage
+):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    copy = shutil.copytree(run_dir, tmp_path / "run")
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=2\n# any comment\nlr=1e-3\n", encoding="utf-8")
+    path = {
+        "manifest": data / MANIFEST_NAME, "splits": data / SPLIT_NAME, "config": config,
+        "record": copy / "run_record.jsonl", "report": copy / "report.jsonl",
+    }[name]
+    line = DAMAGES[damage](path)
+    argv = {
+        "train": train_args(data, copy, "--config", str(config)),
+        "eval": ["eval", "--checkpoint", str(copy / "best.nclp"), "--dataset", str(data),
+                 "--output", str(copy)],
+        "report": ["report", "--runs", str(run_dir), str(copy), "--output", str(tmp_path / "r")],
+    }[command]
+    before = tree_digest(data), tree_digest(copy), config.read_bytes()
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith(f"{CODES[name]}: ") and len(err.splitlines()) == 1
+    assert (f"{path}:{line}:" if line else str(path)) in err
+    assert (tree_digest(data), tree_digest(copy), config.read_bytes()) == before
+    assert not (tmp_path / "r").exists()  # no comparison.csv
+
+
+# ---------------------------------------------------------------------------
 # shared error surface
 # ---------------------------------------------------------------------------
 

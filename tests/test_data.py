@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,36 @@ def test_roundtrip_preserves_everything(tmp_path):
         assert back.aesthetic_score == original.aesthetic_score
         assert back.captions == original.captions
         assert np.array_equal(back.get_pixels(), original.pixels)
+
+
+def test_a_caption_with_unicode_line_separators_round_trips(tmp_path):
+    # str.splitlines would split at each of these; a manifest line ends only at \n, \r\n or \r
+    ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
+    ds.records[1].captions[BASE_LANGUAGE] = "red\u2028circle\u0085top\x0cleft"
+    save_dataset(ds, tmp_path)
+    assert [r.captions for r in load_dataset(tmp_path).records] == [r.captions for r in ds.records]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("caption", "red\tcircle"), ("caption", "red\ncircle"), ("id", "img\r1"), ("language", "x\ty")],
+)
+def test_a_field_with_a_tab_or_a_line_break_is_refused_before_anything_is_written(
+    tmp_path, field, value
+):
+    ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
+    record = ds.records[-1]  # the last: nothing may be written before it is checked
+    if field == "caption":
+        record.captions[BASE_LANGUAGE] = value
+    elif field == "id":
+        record.id = value
+    else:
+        ds.languages[1] = value
+        for r in ds.records:
+            r.captions[value] = r.captions.pop(cipher_code(1))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{value!r} holds a tab or a line break")):
+        save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_loader_is_lazy_about_pixels(tmp_path):
