@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except ClipforgeError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # e.g. an --output under a regular file
+        print(f"{ConfigError.code}: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -299,50 +299,35 @@ def generate_synthetic_corpus(
 # on-disk format
 # ---------------------------------------------------------------------------
 
+def pixel_shape(nbytes: int, where: str) -> tuple:
+    """Shape (S, S, 3) of a pixel file of ``nbytes`` bytes: the raw bytes of a uint8 [S, S, 3] array."""
+    if nbytes % 3:
+        raise DatasetFormatError(f"{where}: size {nbytes} is not a multiple of 3")
+    side = math.isqrt(nbytes // 3)
+    if side * side * 3 != nbytes:
+        raise DatasetFormatError(f"{where}: {nbytes} bytes is not a square RGB image")
+    return (side, side, 3)
+
+
 def read_pixel_file(path) -> np.ndarray:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetFormatError(f"cannot read pixel file {path}: {exc.strerror}") from exc
-    if len(raw) % 3:
-        raise DatasetFormatError(f"pixel file {path}: size {len(raw)} is not a multiple of 3")
-    side = math.isqrt(len(raw) // 3)
-    if side * side * 3 != len(raw):
-        raise DatasetFormatError(f"pixel file {path}: {len(raw)} bytes is not a square RGB image")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(side, side, 3).copy()
+    shape = pixel_shape(len(raw), f"pixel file {path}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape).copy()
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write manifest + raw pixel files under a directory.  A record whose
-    caption languages are not the dataset's, or a field that holds a tab or a
-    line break, is refused before anything is written."""
-    header = ["id", "aesthetic_score", "pixels", *dataset.languages]
-    rows = []
-    for record in dataset.records:
-        if set(record.captions) != set(dataset.languages):
-            raise DatasetFormatError(
-                f"record {record.id}: caption languages do not match the dataset language set"
-            )
-        rows.append([record.id, repr(float(record.aesthetic_score)), f"{PIXEL_DIR}/{record.id}.rgb",
-                     *(record.captions[lang] for lang in dataset.languages)])
-    bad = [(row[0], c) for row in [header, *rows] for c in row if "\t" in c or "\n" in c or "\r" in c]
+def manifest_rows(rows, manifest) -> list:
+    """(id, score, pixel path, captions) of each record row of a manifest's rows
+    of cells, header first; every rule of the manifest format is checked here,
+    before ``save_dataset`` writes and after ``load_dataset`` reads."""
+    bad = [(row[0], c) for row in rows for c in row if "\t" in c or "\n" in c or "\r" in c]
     if bad:
         raise DatasetFormatError(
             f"manifest row {bad[0][0]!r}: field {bad[0][1]!r} holds a tab or a line break"
         )
-    root = Path(path)
-    (root / PIXEL_DIR).mkdir(parents=True, exist_ok=True)
-    for record, row in zip(dataset.records, rows):
-        (root / row[2]).write_bytes(record.get_pixels().astype(np.uint8).tobytes())
-    write_lines(root / MANIFEST_NAME, ["\t".join(row) for row in [header, *rows]])
-
-
-def load_dataset(path) -> Dataset:
-    """Parse a dataset directory; each record holds its pixel file's path, read on use."""
-    root = Path(path)
-    manifest = root / MANIFEST_NAME
-    lines = read_lines(manifest, DatasetFormatError)
-    header = lines[0].split("\t") if lines else []
+    header = rows[0] if rows else []
     if header[:3] != ["id", "aesthetic_score", "pixels"]:
         raise DatasetFormatError(
             f"{manifest}: header must start with id/aesthetic_score/pixels, got {header[:3]}"
@@ -352,11 +337,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(
             f"{manifest}: header needs distinct, non-empty language codes, got {languages}"
         )
-
-    records = []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
+    parsed, seen = [], set()
+    for lineno, cells in enumerate(rows[1:], start=2):
         if len(cells) != 3 + len(languages):
             raise DatasetFormatError(
                 f"{manifest}:{lineno}: record {cells[0]!r} has {len(cells)} fields,"
@@ -366,6 +348,8 @@ def load_dataset(path) -> Dataset:
         if rid in seen:
             raise DatasetFormatError(f"{manifest}:{lineno}: duplicate record id {rid!r}")
         seen.add(rid)
+        if "/" in rid or "\0" in rid:  # the id names its pixel file
+            raise DatasetFormatError(f"{manifest}:{lineno}: record id {rid!r} holds '/' or NUL")
         try:
             score = float(score_text)
         except ValueError:
@@ -373,36 +357,63 @@ def load_dataset(path) -> Dataset:
                 f"{manifest}:{lineno}: record {rid!r} has bad aesthetic score {score_text!r}"
             ) from None
         if not math.isfinite(score):
+            raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r} has non-finite aesthetic score")
+        empty = [lang for lang, caption in zip(languages, cells[3:]) if not caption]
+        if empty:
+            raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r} is missing its {empty[0]} caption")
+        parsed.append((rid, score, rel, dict(zip(languages, cells[3:]))))
+    return parsed
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write manifest + raw pixel files under a directory.  A record whose caption
+    languages are not the dataset's, a manifest ``manifest_rows`` refuses or pixels
+    that are not a uint8 [S, S, 3] array are refused before anything is written."""
+    root = Path(path)
+    rows = [["id", "aesthetic_score", "pixels", *dataset.languages]]
+    for record in dataset.records:
+        if set(record.captions) != set(dataset.languages):
             raise DatasetFormatError(
-                f"{manifest}:{lineno}: record {rid!r} has non-finite aesthetic score"
+                f"record {record.id}: caption languages do not match the dataset language set"
             )
-        captions = {}
-        for lang, caption in zip(languages, cells[3:]):
-            if not caption:
-                raise DatasetFormatError(
-                    f"{manifest}:{lineno}: record {rid!r} is missing its {lang} caption"
-                )
-            captions[lang] = caption
-        records.append(CaptionedImage(rid, score, captions, pixel_path=root / rel))
-    return Dataset(records=records, languages=languages)
+        rows.append([record.id, repr(float(record.aesthetic_score)), f"{PIXEL_DIR}/{record.id}.rgb",
+                     *(record.captions[lang] for lang in dataset.languages)])
+    manifest_rows(rows, root / MANIFEST_NAME)
+    for record in dataset.records:
+        pixels, where = np.asarray(record.get_pixels()), f"record {record.id!r}: pixel array"
+        if pixels.dtype != np.uint8 or pixels.shape != pixel_shape(pixels.nbytes, where):
+            raise DatasetFormatError(f"{where} of {pixels.dtype} {pixels.shape} is not uint8 [S, S, 3]")
+    (root / PIXEL_DIR).mkdir(parents=True, exist_ok=True)
+    for record, row in zip(dataset.records, rows[1:]):
+        (root / row[2]).write_bytes(record.get_pixels().tobytes())
+    write_lines(root / MANIFEST_NAME, ["\t".join(row) for row in rows])
 
 
-def save_split(dataset_path, train_ids, val_ids) -> None:
-    lines = [f"{rid}\ttrain" for rid in train_ids] + [f"{rid}\tval" for rid in val_ids]
-    write_lines(Path(dataset_path) / SPLIT_NAME, lines)
+def load_dataset(path) -> Dataset:
+    """Parse a dataset directory; each record holds its pixel file's path, read on use."""
+    root = Path(path)
+    manifest = root / MANIFEST_NAME
+    rows = [line.split("\t") for line in read_lines(manifest, DatasetFormatError)]
+    records = [
+        CaptionedImage(rid, score, captions, pixel_path=root / rel)
+        for rid, score, rel, captions in manifest_rows(rows, manifest)
+    ]
+    return Dataset(records=records, languages=rows[0][3:])
 
 
-def load_split(dataset_path):
-    path = Path(dataset_path) / SPLIT_NAME
+def split_ids(rows, path):
+    """Train and validation ids of a split file's (id, label) rows.  Refused: an id
+    listed twice or holding a tab or a line break, a label other than train/val."""
     train_ids, val_ids = [], []
     first_line: dict = {}  # record id -> line that listed it
-    for lineno, line in enumerate(read_lines(path, DatasetFormatError), start=1):
-        rid, _, label = line.partition("\t")
+    for lineno, (rid, label) in enumerate(rows, start=1):
         if rid in first_line:
             raise DatasetFormatError(
                 f"{path}:{lineno}: record {rid!r} is already listed on line {first_line[rid]}"
             )
         first_line[rid] = lineno
+        if "\t" in rid or "\n" in rid or "\r" in rid:  # a read line holds none: checks a write
+            raise DatasetFormatError(f"{path}:{lineno}: record {rid!r} holds a tab or a line break")
         if label == "train":
             train_ids.append(rid)
         elif label == "val":
@@ -410,6 +421,19 @@ def load_split(dataset_path):
         else:
             raise DatasetFormatError(f"{path}:{lineno}: bad split label {label!r}")
     return train_ids, val_ids
+
+
+def save_split(dataset_path, train_ids, val_ids) -> None:
+    """Write the split file; ids that ``split_ids`` refuses are refused before writing."""
+    path = Path(dataset_path) / SPLIT_NAME
+    rows = [(rid, "train") for rid in train_ids] + [(rid, "val") for rid in val_ids]
+    split_ids(rows, path)
+    write_lines(path, [f"{rid}\t{label}" for rid, label in rows])
+
+
+def load_split(dataset_path):
+    path = Path(dataset_path) / SPLIT_NAME
+    return split_ids((line.partition("\t")[::2] for line in read_lines(path, DatasetFormatError)), path)
 
 
 def split_records(dataset: Dataset, dataset_path):

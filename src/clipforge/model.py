@@ -393,21 +393,6 @@ def trains(model: DualEncoderModel, tower: str) -> bool:
     return any(p.requires_grad for n, p in model.params.items() if n.startswith(f"{tower}/"))
 
 
-def count_parameters(model: DualEncoderModel) -> dict:
-    counts = {"image_encoder": 0, "text_encoder": 0, "projections": 0, "logit_scale": 0}
-    for name, p in model.params.items():
-        if name.startswith("image/"):
-            counts["image_encoder"] += p.size
-        elif name.startswith("text/"):
-            counts["text_encoder"] += p.size
-        elif name.startswith("proj/"):
-            counts["projections"] += p.size
-        else:
-            counts["logit_scale"] += p.size
-    counts["total"] = sum(counts.values())
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # files: atomic replacement, text lines, the checkpoint container
 # ---------------------------------------------------------------------------

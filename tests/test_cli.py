@@ -91,6 +91,13 @@ def test_datagen_refuses_existing_output(tmp_path, capsys):
     assert run(capsys, "datagen", "--output", target, *args, "--force")[0] == 0
 
 
+def test_datagen_to_an_output_under_a_regular_file_is_refused_in_one_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    out = (tmp_path / "file" / "ds").resolve()
+    code, _, err = run(capsys, "datagen", "--output", str(out), "--images", "10", "--languages", "1")
+    assert code == 1 and err == f"E_CONFIG: {out}: Not a directory\n"
+
+
 def test_datagen_val_fraction_rounding(tmp_path, capsys):
     code, out, _ = run(
         capsys, "datagen", "--output", str(tmp_path / "d"), "--images", "300",
@@ -559,6 +566,14 @@ def test_eval_of_a_missing_checkpoint_is_refused(dataset_dir, tmp_path, capsys):
     argv = ["eval", "--checkpoint", str(missing), "--dataset", str(dataset_dir),
             "--output", str(tmp_path / "e")]
     _refused_in_one_line(capsys, argv, "E_CHECKPOINT_INTEGRITY", missing)
+
+
+def test_eval_to_an_output_under_a_regular_file_is_refused_in_one_line(run_dir, dataset_dir, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    out = (tmp_path / "file" / "e").resolve()
+    argv = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(dataset_dir),
+            "--output", str(out)]
+    _refused_in_one_line(capsys, argv, "E_CONFIG", out)
 
 
 def test_train_from_a_missing_init_checkpoint_is_refused(dataset_dir, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clipforge.data import (
     BASE_LANGUAGE,
@@ -12,6 +16,7 @@ from clipforge.data import (
     PAD_ID,
     UNK_ID,
     CaptionedImage,
+    Dataset,
     Vocabulary,
     aesthetic_filter,
     choose_language,
@@ -357,6 +362,113 @@ def test_a_field_with_a_tab_or_a_line_break_is_refused_before_anything_is_writte
     with pytest.raises(DatasetFormatError, match=re.escape(f"{value!r} holds a tab or a line break")):
         save_dataset(ds, tmp_path / "ds")
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("captions", {BASE_LANGUAGE: "", "aab_Ciph": "x"}, "'img000003' is missing its eng_Latn caption"),
+        ("aesthetic_score", float("nan"), "'img000003' has non-finite aesthetic score"),
+        ("aesthetic_score", float("inf"), "'img000003' has non-finite aesthetic score"),
+        ("id", "img000001", "duplicate record id 'img000001'"),
+        ("id", "img/3", "'img/3' holds '/' or NUL"),
+        ("id", "img\x003", "'img\\x003' holds '/' or NUL"),
+        ("languages", [BASE_LANGUAGE, ""], "language codes, got ['eng_Latn', '']"),
+        ("languages", [], "language codes, got []"),
+        ("pixels", np.zeros((8, 8, 3)), "'img000003': pixel array of float64 (8, 8, 3)"),
+        ("pixels", np.zeros((4, 16, 3), np.uint8), "'img000003': pixel array of uint8 (4, 16, 3)"),
+        ("pixels", np.zeros((8, 8, 4), np.uint8), "'img000003': pixel array: size 256"),
+    ],
+    ids=["empty caption", "nan score", "inf score", "repeated id", "id with a slash", "id with a NUL",
+         "empty language", "no languages", "float pixels", "4x16 pixels", "4 channels"],
+)
+def test_save_dataset_refuses_what_load_dataset_refuses_before_anything_is_written(tmp_path, field, value, named):
+    ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
+    if field == "languages":
+        ds.languages = value
+        for r in ds.records:
+            r.captions = dict(zip(value, r.captions.values()))
+    else:
+        setattr(ds.records[-1], field, value)  # the last record: nothing may be written before it is checked
+    with pytest.raises(DatasetFormatError, match=re.escape(named)):
+        save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "train_ids, val_ids, named",
+    [(["a", "b"], ["c", "a"], "'a' is already listed on line 1"), (["a"], ["b\tc"], "'b\\tc' holds a tab")],
+    ids=["repeated id", "id with a tab"],
+)
+def test_save_split_refuses_what_load_split_refuses_before_writing(tmp_path, train_ids, val_ids, named):
+    with pytest.raises(DatasetFormatError, match=re.escape(named)):
+        save_split(tmp_path, train_ids, val_ids)
+    assert not (tmp_path / "splits.tsv").exists()
+
+
+# a line reader splitting at more than "\n", "\r\n" and "\r" would split at the last three
+GOOD = st.text(alphabet="ab\u00e9 \u2028\x85\x0c", min_size=1, max_size=3)
+ANY = st.text(alphabet="ab/\x00\t\n\r", max_size=2)  # text some rule may refuse
+PIXELS = [np.zeros((8, 8, 3)), np.zeros((4, 16, 3), np.uint8), np.zeros((8, 8, 4), np.uint8),
+          np.ones((8, 8, 3), np.uint8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_what_save_dataset_writes_load_dataset_reads_back_equal(data):
+    languages = data.draw(st.lists(GOOD, min_size=1, max_size=3, unique=True))
+    records = [
+        CaptionedImage(rid, data.draw(st.floats(-1e300, 1e300)), {lang: data.draw(GOOD) for lang in languages},
+                       np.arange(192, dtype=np.uint8).reshape(8, 8, 3) + i)
+        for i, rid in enumerate(data.draw(st.lists(GOOD, min_size=1, max_size=3, unique=True)))
+    ]
+    record = data.draw(st.sampled_from(records))  # at most one field is replaced, maybe by one refused
+    fault = data.draw(st.sampled_from([None, "language", "id", "caption", "score", "pixels"]))
+    if fault == "language":
+        old, new = languages[-1], data.draw(ANY)
+        languages[-1] = new
+        for r in records:
+            r.captions[new] = r.captions.pop(old)
+    elif fault == "id":
+        record.id = data.draw(ANY)
+    elif fault == "caption":
+        record.captions[languages[0]] = data.draw(ANY)
+    elif fault == "score":
+        record.aesthetic_score = data.draw(st.floats())
+    elif fault == "pixels":
+        record.pixels = data.draw(st.sampled_from(PIXELS))
+    ds = Dataset(records, languages)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "ds"
+        try:
+            save_dataset(ds, target)
+        except DatasetFormatError:
+            assert not target.exists()
+            return
+        back = load_dataset(target)
+        assert back.languages == ds.languages
+        assert [(r.id, r.aesthetic_score, r.captions, r.get_pixels().tobytes()) for r in back.records] == [
+            (r.id, r.aesthetic_score, r.captions, r.pixels.tobytes()) for r in ds.records
+        ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(GOOD, min_size=1, max_size=6, unique=True),
+    cut=st.integers(0, 6),
+    fault=st.one_of(st.none(), st.text(alphabet="a\t\n\r", min_size=1, max_size=2)),
+)
+def test_what_save_split_writes_load_split_reads_back_equal(ids, cut, fault):
+    if fault is not None:
+        ids[-1] = fault  # maybe a repeat, or an id with a tab or a line break
+    train_ids, val_ids = ids[:cut], ids[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            save_split(tmp, train_ids, val_ids)
+        except DatasetFormatError:
+            assert not (Path(tmp) / "splits.tsv").exists()
+            return
+        assert load_split(tmp) == (train_ids, val_ids)
 
 
 def test_loader_is_lazy_about_pixels(tmp_path):

@@ -20,7 +20,6 @@ from clipforge.model import (
     FreezeRegime,
     ModelConfig,
     apply_freeze,
-    count_parameters,
     encode_image,
     encode_text,
     image_features,
@@ -422,22 +421,6 @@ def test_freeze_projection_only_counts():
     assert trainable == {"proj/visual", "proj/text", "logit_scale"}
     n_trainable = sum(model.params[n].size for n in trainable)
     assert n_trainable == cfg.image_dim * cfg.embed_dim + cfg.text_dim * cfg.embed_dim + 1
-
-
-def test_count_parameters_totals():
-    model = DualEncoderModel(micro_config(), init_seed=1)
-    counts = count_parameters(model)
-    assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
-    assert counts["total"] == sum(p.size for p in model.params.values())
-    assert counts["logit_scale"] == 1
-    assert counts["projections"] == 16 * 8 + 16 * 8
-
-
-def test_count_parameters_monotone_in_depth():
-    shallow = count_parameters(DualEncoderModel(micro_config(), init_seed=1))
-    deep = count_parameters(DualEncoderModel(micro_config(text_layers=4), init_seed=1))
-    assert deep["text_encoder"] > shallow["text_encoder"]
-    assert deep["image_encoder"] == shallow["image_encoder"]
 
 
 # ---------------------------------------------------------------------------
