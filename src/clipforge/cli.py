@@ -33,7 +33,7 @@ from .data import (
     split,
     split_records,
 )
-from .errors import ClipforgeError, ConfigError, EvaluationError
+from .errors import ClipforgeError, ConfigError
 from .training import (
     RECORD_FILE,
     RunConfig,
@@ -142,17 +142,9 @@ def cmd_eval(args) -> int:
     model = M.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
     vocab = Vocabulary.for_dataset(dataset)
-    # a checkpoint without a stored vocabulary (an older file) is checked by size only
-    stored = model.metadata.get("vocabulary")
-    if vocab.size != model.config.vocab_size or stored not in (None, vocab.ordered_tokens()):
-        raise EvaluationError(
-            f"vocabulary mismatch: the checkpoint's {model.config.vocab_size} tokens are not"
-            f" the {vocab.size} this dataset yields; evaluate against the dataset the model"
-            " was trained on"
-        )
     records = _select_records(dataset, args.dataset, args.split)
     subset = Dataset(records=records, languages=list(dataset.languages))
-    languages = [part for part in args.languages.split(",") if part] if args.languages else None
+    languages = coerce_field("languages", args.languages) or None  # as train parses it
 
     out = Path(args.output).resolve()
     record = read_record(out)  # refused here, before any output is written

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 BASE_LANGUAGE = "eng_Latn"
+SURROGATE = re.compile("[\ud800-\udfff]")  # text holding one does not encode as UTF-8
 
 SIZES = {"small": 0.30, "medium": 0.45, "large": 0.60}
 COLORS = {
@@ -162,6 +164,21 @@ def choose_language(image_id: str, languages, epoch: int, seed: int) -> str:
     ordered = sorted(languages)
     digest = hashlib.sha256(f"{seed}:{epoch}:{image_id}".encode("utf-8")).digest()
     return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
+
+
+def select_languages(available, requested, error) -> list:
+    """The requested languages in their order; ``None`` requests every one of
+    ``available``.  An empty, repeated or unknown request is refused with ``error``."""
+    languages = list(available if requested is None else requested)
+    missing = [lang for lang in languages if lang not in available]
+    repeated = sorted({lang for lang in languages if languages.count(lang) > 1})
+    if not languages:
+        raise error("no language to evaluate")
+    if missing:
+        raise error(f"languages not in the dataset: {missing}; it has {sorted(available)}")
+    if repeated:
+        raise error(f"languages listed more than once: {repeated}")
+    return languages
 
 
 def sample_epoch(records, epoch: int, seed: int, languages) -> dict:
@@ -322,11 +339,12 @@ def manifest_rows(rows, manifest) -> list:
     """(id, score, pixel path, captions) of each record row of a manifest's rows
     of cells, header first; every rule of the manifest format is checked here,
     before ``save_dataset`` writes and after ``load_dataset`` reads."""
-    bad = [(row[0], c) for row in rows for c in row if "\t" in c or "\n" in c or "\r" in c]
+    bad = [(row[0], c) for row in rows for c in row
+           if "\t" in c or "\n" in c or "\r" in c or not c.isascii() and SURROGATE.search(c)]
     if bad:
-        raise DatasetFormatError(
-            f"manifest row {bad[0][0]!r}: field {bad[0][1]!r} holds a tab or a line break"
-        )
+        rid, cell = bad[0]
+        fault = "a lone surrogate" if SURROGATE.search(cell) else "a tab or a line break"
+        raise DatasetFormatError(f"manifest row {rid!r}: field {cell!r} holds {fault}")
     header = rows[0] if rows else []
     if header[:3] != ["id", "aesthetic_score", "pixels"]:
         raise DatasetFormatError(
@@ -350,6 +368,8 @@ def manifest_rows(rows, manifest) -> list:
         seen.add(rid)
         if "/" in rid or "\0" in rid:  # the id names its pixel file
             raise DatasetFormatError(f"{manifest}:{lineno}: record id {rid!r} holds '/' or NUL")
+        if len(f"{rid}.rgb".encode("utf-8")) > 255:  # the file name limit of Linux and macOS file systems
+            raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r}: pixel file name over 255 bytes")
         try:
             score = float(score_text)
         except ValueError:
@@ -361,6 +381,10 @@ def manifest_rows(rows, manifest) -> list:
         empty = [lang for lang, caption in zip(languages, cells[3:]) if not caption]
         if empty:
             raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r} is missing its {empty[0]} caption")
+        if rel != f"{PIXEL_DIR}/{rid}.rgb":  # the one pixel path save_dataset writes
+            raise DatasetFormatError(
+                f"{manifest}:{lineno}: record {rid!r}: pixels cell {rel!r} is not {PIXEL_DIR}/{rid}.rgb"
+            )
         parsed.append((rid, score, rel, dict(zip(languages, cells[3:]))))
     return parsed
 
@@ -376,7 +400,11 @@ def save_dataset(dataset: Dataset, path) -> None:
             raise DatasetFormatError(
                 f"record {record.id}: caption languages do not match the dataset language set"
             )
-        rows.append([record.id, repr(float(record.aesthetic_score)), f"{PIXEL_DIR}/{record.id}.rgb",
+        try:
+            score = repr(float(record.aesthetic_score))
+        except (TypeError, ValueError):  # manifest_rows refuses it, naming the record
+            score = str(record.aesthetic_score)
+        rows.append([record.id, score, f"{PIXEL_DIR}/{record.id}.rgb",
                      *(record.captions[lang] for lang in dataset.languages)])
     manifest_rows(rows, root / MANIFEST_NAME)
     for record in dataset.records:

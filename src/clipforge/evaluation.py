@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from . import model as M
-from .data import UNK_ID, pixel_batch, tokenize_batch
+from .data import UNK_ID, pixel_batch, select_languages, tokenize_batch
 from .errors import ComparisonError, ConfigError, EvaluationError
 
 TEXT_TO_IMAGE = "text_to_image"
@@ -212,7 +212,8 @@ def evaluate(
     language, each distinct caption string is tokenized and embedded once,
     and its row is gathered back to every record that repeats it.  Each row
     depends only on its own caption, up to the last bits that the batch's
-    GEMM shapes set when caption lengths are mixed.
+    GEMM shapes set when caption lengths are mixed.  The languages and the
+    vocabulary are checked before anything is embedded.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
@@ -221,17 +222,8 @@ def evaluate(
     records = dataset.records
     if not records:
         raise EvaluationError("dataset has no records")
-    languages = list(dataset.languages) if languages is None else list(languages)
-    if not languages:
-        raise EvaluationError("no language to evaluate")
-    missing = [lang for lang in languages if lang not in dataset.languages]
-    if missing:
-        raise EvaluationError(
-            f"languages not in the dataset: {missing}; it has {sorted(dataset.languages)}"
-        )
-    repeated = sorted({lang for lang in languages if languages.count(lang) > 1})
-    if repeated:
-        raise EvaluationError(f"languages listed more than once: {repeated}")
+    languages = select_languages(dataset.languages, languages, EvaluationError)
+    M.check_vocabulary(model, vocab, EvaluationError)
 
     model = M.frozen(model)  # no forward records a graph, whatever the caller's requires_grad
     image_emb = _batched(
@@ -409,16 +401,6 @@ def load_baseline_table(source: str, model: str) -> BaselineTable:
         known = sorted({m for s, m in list_baseline_tables() if s == source})
         raise ComparisonError(f"no model {model!r} in source {source!r}; has {known}")
     return BaselineTable(model=model, source=source, entries=entries, average=average)
-
-
-def baseline_from_report(report: MetricReport, model: str, source: str) -> BaselineTable:
-    """View a run report as a baseline table (useful for run-to-run deltas)."""
-    return BaselineTable(
-        model=model,
-        source=source,
-        entries={language: row.as_dict() for language, row in report.rows.items()},
-        average=report.average.as_dict(),
-    )
 
 
 def baseline_keys(languages, baseline: BaselineTable) -> dict:

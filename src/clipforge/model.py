@@ -607,3 +607,16 @@ def read_checkpoint(path):
 def load_checkpoint(path) -> DualEncoderModel:
     """The frozen model of ``read_checkpoint``; any optimizer state is dropped."""
     return read_checkpoint(path)[0]
+
+
+def check_vocabulary(model: DualEncoderModel, vocab, error) -> None:
+    """Refuse, with ``error``, a vocabulary (``data.Vocabulary``) whose token ids
+    are not the model's: another size than its config's, or other tokens than
+    those its checkpoint stored.  A checkpoint without stored tokens (an older
+    file) is checked by size only."""
+    stored = model.metadata.get("vocabulary")
+    if vocab.size != model.config.vocab_size or stored not in (None, vocab.ordered_tokens()):
+        raise error(
+            f"vocabulary mismatch: this dataset's {vocab.size} tokens are not, token for token, the"
+            f" {model.config.vocab_size} the model was trained with; use the dataset it was trained on"
+        )

@@ -31,6 +31,7 @@ from .data import (
     manifest_digest,
     pixel_batch,
     sample_epoch,
+    select_languages,
     split_records,
     tokenize_batch,
 )
@@ -91,8 +92,6 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
-        if len(set(self.languages)) != len(self.languages):
-            raise ConfigError(f"duplicate entries in languages {self.languages}")
 
     def resolved(self) -> "RunConfig":
         """Absolute-path copy; all paths are fixed before the run starts."""
@@ -366,8 +365,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         raise ConfigError("training needs both dataset_dir and output_dir")
     config = config.resolved()
     say = log if log is not None else (lambda _: None)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.output_dir)  # created only before its first write: a refused run writes nothing
 
     dataset = load_dataset(config.dataset_dir)
     train_records, val_records = split_records(dataset, config.dataset_dir)
@@ -377,11 +375,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
             f" {len(train_records)}/{len(val_records)}"
         )
 
-    languages = list(config.languages) if config.languages else list(dataset.languages)
-    unknown = sorted(set(languages) - set(dataset.languages))
-    if unknown:
-        raise ConfigError(f"languages not in dataset: {unknown}")
-
+    languages = select_languages(dataset.languages, config.languages or None, ConfigError)
     vocab = Vocabulary.for_dataset(dataset)
     tokens = vocab.ordered_tokens()
     image_size = train_records[0].get_pixels().shape[0]
@@ -403,12 +397,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
                 " init checkpoint changed); use --force to start over"
             )
 
+    state, next_epoch, best_val = optim.OptimizerState(), 0, float("inf")
     if saved:
         model, saved_optimizer, state = saved
-        if model.config != model_config:
-            raise ConfigError(
-                "cannot resume: checkpoint model config does not match the run config"
-            )
         if state is None:
             raise CheckpointFormatError(
                 f"cannot resume: {LAST_CHECKPOINT} holds no optimizer state (an older"
@@ -422,24 +413,18 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         next_epoch = int(model.metadata["next_epoch"])
         best_val = float(model.metadata["best_val"])
         say(f"resuming run {run_id} at epoch {next_epoch}")
+    elif config.init_from:
+        model = M.load_checkpoint(config.init_from)
     else:
-        if config.init_from:
-            model = M.load_checkpoint(config.init_from)
-            if model.config != model_config:
-                raise ConfigError(
-                    f"init checkpoint {config.init_from} model config does not match"
-                    " the run config (different preset, vocabulary, or image size)"
-                )
-            if model.metadata.get("vocabulary", tokens) != tokens:
-                raise ConfigError(
-                    f"init checkpoint {config.init_from} has another vocabulary of the same"
-                    " size: its token ids would not match this dataset's"
-                )
-        else:
-            model = M.DualEncoderModel(model_config, init_seed=config.init_seed)
-        state = optim.OptimizerState()
-        next_epoch = 0
-        best_val = float("inf")
+        model = M.DualEncoderModel(model_config, init_seed=config.init_seed)
+    source = last_path if saved else config.init_from
+    if source:  # a fresh model fits by construction
+        if model.config != model_config:
+            raise ConfigError(
+                f"{source} holds a model config that does not match the run config"
+                " (different preset, vocabulary or image size)"
+            )
+        M.check_vocabulary(model, vocab, ConfigError)
     # a kill after an epoch's record line but before its checkpoint left lines to write again
     record = [e for e in record if e.get("epoch", -1) < next_epoch]
     if not any(e.get("record") == "run" for e in record):
@@ -455,6 +440,7 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         image_cache = frozen_image_features(
             model, train_records + val_records, config.dataset_dir, say
         )
+    out.mkdir(parents=True, exist_ok=True)
     M.write_lines(out / EFFECTIVE_CONFIG, config_lines(config))
     write_record(out, record)
 

@@ -265,6 +265,35 @@ def test_same_size_vocabulary_with_other_tokens_refused(run_dir, dataset_dir, tm
     assert len(err.splitlines()) == 1
 
 
+def test_languages_comma_means_every_language_in_train_and_eval(run_dir, dataset_dir, tmp_path, capsys):
+    assert run(capsys, *train_args(dataset_dir, tmp_path / "run", "--languages", ","))[0] == 0
+    assert (tmp_path / "run" / "last.nclp").read_bytes() == (run_dir / "last.nclp").read_bytes()
+    for name, extra in (("all", ()), ("comma", ("--languages", ","))):
+        argv = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(dataset_dir),
+                "--output", str(tmp_path / name), *extra]
+        assert run(capsys, *argv)[0] == 0
+    report = tmp_path / "comma" / "report.jsonl"
+    assert list(read_report_jsonl(report).rows) == ["eng_Latn", "aab_Ciph"]
+    assert report.read_bytes() == (tmp_path / "all" / "report.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("missing dataset", "E_DATASET_FORMAT"), ("unknown language", "E_CONFIG"), ("foreign vocabulary", "E_CONFIG"),
+])
+def test_a_refused_train_leaves_no_output_directory(run_dir, dataset_dir, tmp_path, capsys, case, code):
+    out = tmp_path / "run"
+    if case == "missing dataset":
+        argv = train_args(tmp_path / "absent", out)
+    elif case == "unknown language":
+        argv = train_args(dataset_dir, out, "--languages", "eng_Latn,typo_Latn")
+    else:
+        other = renamed_word_copy(dataset_dir, tmp_path / "renamed", "blue", "azure")
+        argv = train_args(other, out, "--init-from", str(run_dir / "last.nclp"))
+    status, _, err = run(capsys, *argv)
+    assert status == 1 and err.startswith(f"{code}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_eval_split_all_covers_every_record(run_dir, dataset_dir, tmp_path, capsys):
     code, out, _ = run(
         capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"),

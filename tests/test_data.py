@@ -378,9 +378,13 @@ def test_a_field_with_a_tab_or_a_line_break_is_refused_before_anything_is_writte
         ("pixels", np.zeros((8, 8, 3)), "'img000003': pixel array of float64 (8, 8, 3)"),
         ("pixels", np.zeros((4, 16, 3), np.uint8), "'img000003': pixel array of uint8 (4, 16, 3)"),
         ("pixels", np.zeros((8, 8, 4), np.uint8), "'img000003': pixel array: size 256"),
+        ("captions", {BASE_LANGUAGE: "red\ud800", "aab_Ciph": "x"}, "field 'red\\ud800' holds a lone surrogate"),
+        ("id", "\u00e9" * 126, "pixel file name over 255 bytes"),
+        ("aesthetic_score", "high", "'img000003' has bad aesthetic score 'high'"),
     ],
     ids=["empty caption", "nan score", "inf score", "repeated id", "id with a slash", "id with a NUL",
-         "empty language", "no languages", "float pixels", "4x16 pixels", "4 channels"],
+         "empty language", "no languages", "float pixels", "4x16 pixels", "4 channels",
+         "lone surrogate", "id of 252 utf-8 bytes", "score 'high'"],
 )
 def test_save_dataset_refuses_what_load_dataset_refuses_before_anything_is_written(tmp_path, field, value, named):
     ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
@@ -498,6 +502,19 @@ def test_a_generated_record_keeps_its_in_memory_pixels():
     pixels = record.pixels
     assert pixels is not None and record.pixel_path is None
     assert record.get_pixels() is pixels and record.pixels is pixels
+
+
+@pytest.mark.parametrize("cell", ["../outside.bin", "/abs/outside.bin"], ids=["relative", "absolute"])
+def test_loader_refuses_a_pixels_cell_other_than_the_records_own_file(tmp_path, cell):
+    # without this rule the loader would read these bytes as img1's image
+    (tmp_path / "outside.bin").write_bytes(bytes(192))
+    cell = cell.replace("/abs", str(tmp_path))
+    (tmp_path / "ds").mkdir()
+    header = "id\taesthetic_score\tpixels\teng_Latn"
+    write_manifest(tmp_path / "ds", [header, "img0\t5.0\tpixels/img0.rgb\tred", f"img1\t5.0\t{cell}\tblue"])
+    named = f":3: record 'img1': pixels cell {cell!r} is not pixels/img1.rgb"
+    with pytest.raises(DatasetFormatError, match=re.escape(named)):
+        load_dataset(tmp_path / "ds")
 
 
 def test_loader_rejects_missing_caption(tmp_path):

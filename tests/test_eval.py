@@ -19,7 +19,6 @@ from clipforge.evaluation import (
     BaselineTable,
     MetricRow,
     RetrievalTask,
-    baseline_from_report,
     baseline_keys,
     compare_to_baseline,
     evaluate,
@@ -333,6 +332,34 @@ def test_evaluate_language_selection_and_errors():
         evaluate(model, ds, Vocabulary.from_tokens(["zzz", "qqq"]), languages=["eng_Latn"])
 
 
+def test_evaluate_refuses_a_vocabulary_that_covers_no_caption_token():
+    ds = generate_synthetic_corpus(6, 2, image_size=16, seed=6)
+    model = micro_model(Vocabulary.for_dataset(ds).size, 8)  # stores no tokens: checked by size only
+    foreign = Vocabulary.from_tokens([f"zz{i}" for i in range(model.config.vocab_size - 4)])
+    assert foreign.size == model.config.vocab_size
+    with pytest.raises(EvaluationError, match="covers no caption token"):
+        evaluate(model, ds, foreign, languages=["eng_Latn"])
+
+
+def test_evaluate_refuses_a_same_size_vocabulary_with_other_tokens_before_embedding(monkeypatch):
+    ds = generate_synthetic_corpus(12, 2, image_size=16, seed=3)
+    vocab = Vocabulary.for_dataset(ds)
+    model = micro_model(vocab.size, 8)
+    model.metadata = {"vocabulary": vocab.ordered_tokens()}  # as a trained checkpoint stores them
+    assert evaluate(model, ds, vocab).rows
+    word = ds.records[0].captions["eng_Latn"].split()[1]  # a color
+    for r in ds.records:
+        r.captions = {k: " ".join("azure" if w == word else w for w in c.split()) for k, c in r.captions.items()}
+    renamed = Vocabulary.for_dataset(ds)
+    assert renamed.size == vocab.size and renamed.ordered_tokens() != vocab.ordered_tokens()
+    calls = []
+    encode_image = M.encode_image
+    monkeypatch.setattr(M, "encode_image", lambda *a: calls.append(a) or encode_image(*a))
+    with pytest.raises(EvaluationError, match="vocabulary mismatch"):
+        evaluate(model, ds, renamed)
+    assert calls == []
+
+
 def test_evaluate_refuses_repeated_languages_before_embedding(counted):
     ds = generate_synthetic_corpus(6, 2, image_size=16, seed=6)
     vocab = Vocabulary.for_dataset(ds)
@@ -598,6 +625,16 @@ def test_unknown_baseline_errors():
         load_baseline_table("nope", "nllb-clip-base")
     with pytest.raises(ComparisonError):
         load_baseline_table("xtd10", "nope")
+
+
+def baseline_from_report(report, model: str, source: str) -> BaselineTable:
+    """A run report as a baseline table, for run-to-run deltas."""
+    return BaselineTable(
+        model=model,
+        source=source,
+        entries={language: row.as_dict() for language, row in report.rows.items()},
+        average=report.average.as_dict(),
+    )
 
 
 def test_compare_report_to_itself_is_zero():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import multiprocessing
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -107,8 +109,6 @@ def test_config_validation():
         RunConfig(**good, warmup_steps=-1)
     with pytest.raises(ConfigError):
         RunConfig(**good, sampler_seed=-2)
-    with pytest.raises(ConfigError):
-        RunConfig(**good, languages=("a", "a"))
 
 
 def test_single_letter_preset_accepted():
@@ -656,6 +656,25 @@ def test_language_subset_and_unknown_language(dataset_dir, tmp_path):
     assert len(result.stats) == 1
     with pytest.raises(ConfigError):
         run_training(tiny_config(dataset_dir, tmp_path / "bad", languages=("zz_Ciph",)))
+
+
+def test_a_repeated_language_is_refused_before_anything_is_written(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=r"more than once: \['eng_Latn'\]"):
+        run_training(tiny_config(dataset_dir, out, languages=("eng_Latn", "aab_Ciph", "eng_Latn")))
+    assert not out.exists()
+
+
+def test_init_from_a_checkpoint_without_stored_tokens_is_checked_by_size_only(dataset_dir, tmp_path):
+    stage1 = run_training(tiny_config(dataset_dir, tmp_path / "s1", epochs=1))
+    bare = tmp_path / "bare.nclp"  # an older file: no "vocabulary" in its metadata
+    M.save_checkpoint(M.load_checkpoint(stage1.last_checkpoint), bare, {"stage": 1})
+    run_training(tiny_config(dataset_dir, tmp_path / "s2", epochs=1, init_from=str(bare)))
+    smaller = M.DualEncoderModel(dataclasses.replace(stage1.model.config, vocab_size=6))
+    M.save_checkpoint(smaller, bare, {"stage": 1})
+    with pytest.raises(ConfigError, match=re.escape(f"{bare} holds a model config that does not match")):
+        run_training(tiny_config(dataset_dir, tmp_path / "s3", epochs=1, init_from=str(bare)))
+    assert not (tmp_path / "s3").exists()
 
 
 def test_init_from_checkpoint(dataset_dir, tmp_path):
