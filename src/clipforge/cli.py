@@ -71,12 +71,12 @@ def _fresh_output_dir(out: Path, force: bool, command: str) -> None:
 
 def cmd_datagen(args) -> int:
     out = Path(args.output).resolve()
-    _fresh_output_dir(out, args.force, "datagen")
     dataset = generate_synthetic_corpus(
         args.images, args.languages, image_size=args.image_size, seed=args.seed
     )
     kept = aesthetic_filter(dataset.records, threshold=args.threshold)
     train_records, val_records = split(kept, args.val_fraction, seed=args.seed)
+    _fresh_output_dir(out, args.force, "datagen")  # only now: a refused request keeps the old dataset
     save_dataset(dataset, out)
     save_split(out, [r.id for r in train_records], [r.id for r in val_records])
     names = ("images", "languages", "seed", "image_size", "val_fraction", "threshold")
@@ -109,16 +109,7 @@ def _merged_run_config(args) -> RunConfig:
 
 def cmd_train(args) -> int:
     config = _merged_run_config(args)
-    if args.force and config.output_dir and Path(config.output_dir).exists():
-        out = Path(config.output_dir).resolve()
-        for field, flag in (("dataset_dir", "--dataset"), ("init_from", "--init-from")):
-            path = getattr(config, field)
-            if path and Path(path).resolve().is_relative_to(out):
-                raise ConfigError(
-                    f"train --force would delete {flag} {path}: it lies in the output dir {out}"
-                )
-        shutil.rmtree(out)
-    result = run_training(config, log=print)
+    result = run_training(config, log=print, force=args.force)
     print(
         f"run {result.run_id} finished after {result.total_steps} steps;"
         f" best val loss {result.best_val_loss:.4f}"

@@ -1,16 +1,18 @@
 """Dataset machinery: schema, filtering, splitting, epoch sampling,
 tokenization, and a procedural multilingual corpus generator.
 
-A dataset is a directory holding a tab-separated manifest plus one raw RGB
-file per image.  Every record carries one caption per language in the
-dataset's language set; the loader rejects anything else, which keeps all
-languages represented exactly equally.
+A dataset is a directory holding a tab-separated manifest, a split file and
+one raw RGB file of every record's image, back to back in manifest order.
+Every record carries one caption per language in the dataset's language set;
+the loader rejects anything else, which keeps all languages represented
+exactly equally.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError
-from .model import read_lines, write_lines
+from .model import read_lines, replace_file, write_lines
 
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
-PIXEL_DIR = "pixels"
+PIXEL_FILE = "pixels.rgb"
+OLD_LAYOUT = ("{}: a dataset of the old layout, one pixel file per image under pixels/;"
+              " run clipforge datagen again")  # its marks: a "pixels" header cell, a pixels/ directory
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -52,25 +56,63 @@ BACKGROUND_DIV = 4  # background is the fill color dimmed by this factor
 # schema
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PixelFile:
+    """A dataset's pixel file as ``load_dataset`` found it: ``count`` uint8
+    [side, side, 3] images back to back."""
+
+    path: Path
+    count: int
+    side: int
+
+    def read(self, slots) -> np.ndarray:
+        """uint8 [len(slots), side, side, 3]: the images at ``slots``, read through
+        one open.  A file whose size is no longer the one loaded is refused."""
+        images = np.empty((len(slots), self.side, self.side, 3), dtype=np.uint8)
+        nbytes = self.side * self.side * 3
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != self.count * nbytes:
+                    raise DatasetFormatError(
+                        f"pixel file {self.path}: {size} bytes, not the {self.count * nbytes}"
+                        " it held when the dataset was loaded"
+                    )
+                for image, slot in zip(images, slots):
+                    fh.seek(slot * nbytes)
+                    if fh.readinto(image) != nbytes:  # no slot lies past the checked size
+                        raise DatasetFormatError(f"pixel file {self.path}: no image at slot {slot}")
+        except OSError as exc:
+            raise DatasetFormatError(f"cannot read pixel file {self.path}: {exc.strerror}") from exc
+        return images
+
+
 @dataclass
 class CaptionedImage:
     id: str
     aesthetic_score: float
     captions: dict
-    pixels: np.ndarray | None = None  # uint8 [H, W, 3]; None for a record read from disk,
-    pixel_path: Path | None = None  # whose get_pixels reads this file anew on every call
+    pixels: np.ndarray | None = None  # uint8 [S, S, 3]; None for a record read from disk, whose
+    pixel_file: PixelFile | None = None  # get_pixels reads image ``slot`` of this file anew
+    slot: int = 0  # on every call
 
     def get_pixels(self) -> np.ndarray:
         if self.pixels is not None:
             return self.pixels
-        if self.pixel_path is None:
-            raise DatasetFormatError(f"record {self.id}: no pixel data or path")
-        return read_pixel_file(self.pixel_path)
+        if self.pixel_file is None:
+            raise DatasetFormatError(f"record {self.id}: no pixel data or file")
+        return self.pixel_file.read([self.slot])[0]
 
 
 def pixel_batch(records) -> np.ndarray:
-    """Stack the records' images as a uint8 [batch, 3, H, W] array; the first
-    image whose shape is not the batch's most common one is refused."""
+    """Stack the records' images as a uint8 [batch, 3, H, W] array.  Records read
+    from one pixel file are read through one open; otherwise the first image
+    whose shape is not the batch's most common one is refused."""
+    source = getattr(records[0], "pixel_file", None) if records else None  # records may be duck-typed
+    if source is not None and all(
+        getattr(r, "pixel_file", None) is source and r.pixels is None for r in records
+    ):
+        return source.read([r.slot for r in records]).transpose(0, 3, 1, 2)
     images = [r.get_pixels() for r in records]
     try:
         return np.stack(images).transpose(0, 3, 1, 2)
@@ -317,7 +359,7 @@ def generate_synthetic_corpus(
 # ---------------------------------------------------------------------------
 
 def pixel_shape(nbytes: int, where: str) -> tuple:
-    """Shape (S, S, 3) of a pixel file of ``nbytes`` bytes: the raw bytes of a uint8 [S, S, 3] array."""
+    """Shape (S, S, 3) of an image of ``nbytes`` bytes: the raw bytes of a uint8 [S, S, 3] array."""
     if nbytes % 3:
         raise DatasetFormatError(f"{where}: size {nbytes} is not a multiple of 3")
     side = math.isqrt(nbytes // 3)
@@ -326,19 +368,26 @@ def pixel_shape(nbytes: int, where: str) -> tuple:
     return (side, side, 3)
 
 
-def read_pixel_file(path) -> np.ndarray:
+def open_pixel_file(path, count: int) -> PixelFile:
+    """The pixel file of ``count`` records; one square image size must fit its byte count."""
     try:
-        raw = Path(path).read_bytes()
+        size = Path(path).stat().st_size
     except OSError as exc:
         raise DatasetFormatError(f"cannot read pixel file {path}: {exc.strerror}") from exc
-    shape = pixel_shape(len(raw), f"pixel file {path}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(shape).copy()
+    per_image, rest = divmod(size, count) if count else (0, size)
+    if rest:
+        raise DatasetFormatError(
+            f"pixel file {path}: {size} bytes do not split into {count} equal images,"
+            " one per manifest record"
+        )
+    side = pixel_shape(per_image, f"pixel file {path} ({count} images)")[0]
+    return PixelFile(Path(path), count, side)
 
 
 def manifest_rows(rows, manifest) -> list:
-    """(id, score, pixel path, captions) of each record row of a manifest's rows
-    of cells, header first; every rule of the manifest format is checked here,
-    before ``save_dataset`` writes and after ``load_dataset`` reads."""
+    """(id, score, captions) of each record row of a manifest's rows of cells,
+    header first; every rule of the manifest format is checked here, before
+    ``save_dataset`` writes and after ``load_dataset`` reads."""
     bad = [(row[0], c) for row in rows for c in row
            if "\t" in c or "\n" in c or "\r" in c or not c.isascii() and SURROGATE.search(c)]
     if bad:
@@ -346,30 +395,28 @@ def manifest_rows(rows, manifest) -> list:
         fault = "a lone surrogate" if SURROGATE.search(cell) else "a tab or a line break"
         raise DatasetFormatError(f"manifest row {rid!r}: field {cell!r} holds {fault}")
     header = rows[0] if rows else []
-    if header[:3] != ["id", "aesthetic_score", "pixels"]:
+    if "pixels" in header:  # never read as a language called pixels
+        raise DatasetFormatError(OLD_LAYOUT.format(manifest))
+    if header[:2] != ["id", "aesthetic_score"]:
         raise DatasetFormatError(
-            f"{manifest}: header must start with id/aesthetic_score/pixels, got {header[:3]}"
+            f"{manifest}: header must start with id/aesthetic_score, got {header[:2]}"
         )
-    languages = header[3:]
+    languages = header[2:]
     if not languages or "" in languages or len(set(languages)) != len(languages):
         raise DatasetFormatError(
             f"{manifest}: header needs distinct, non-empty language codes, got {languages}"
         )
     parsed, seen = [], set()
     for lineno, cells in enumerate(rows[1:], start=2):
-        if len(cells) != 3 + len(languages):
+        if len(cells) != 2 + len(languages):
             raise DatasetFormatError(
                 f"{manifest}:{lineno}: record {cells[0]!r} has {len(cells)} fields,"
-                f" expected {3 + len(languages)}"
+                f" expected {2 + len(languages)}"
             )
-        rid, score_text, rel = cells[0], cells[1], cells[2]
+        rid, score_text = cells[0], cells[1]
         if rid in seen:
             raise DatasetFormatError(f"{manifest}:{lineno}: duplicate record id {rid!r}")
         seen.add(rid)
-        if "/" in rid or "\0" in rid:  # the id names its pixel file
-            raise DatasetFormatError(f"{manifest}:{lineno}: record id {rid!r} holds '/' or NUL")
-        if len(f"{rid}.rgb".encode("utf-8")) > 255:  # the file name limit of Linux and macOS file systems
-            raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r}: pixel file name over 255 bytes")
         try:
             score = float(score_text)
         except ValueError:
@@ -378,23 +425,20 @@ def manifest_rows(rows, manifest) -> list:
             ) from None
         if not math.isfinite(score):
             raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r} has non-finite aesthetic score")
-        empty = [lang for lang, caption in zip(languages, cells[3:]) if not caption]
+        empty = [lang for lang, caption in zip(languages, cells[2:]) if not caption]
         if empty:
             raise DatasetFormatError(f"{manifest}:{lineno}: record {rid!r} is missing its {empty[0]} caption")
-        if rel != f"{PIXEL_DIR}/{rid}.rgb":  # the one pixel path save_dataset writes
-            raise DatasetFormatError(
-                f"{manifest}:{lineno}: record {rid!r}: pixels cell {rel!r} is not {PIXEL_DIR}/{rid}.rgb"
-            )
-        parsed.append((rid, score, rel, dict(zip(languages, cells[3:]))))
+        parsed.append((rid, score, dict(zip(languages, cells[2:]))))
     return parsed
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write manifest + raw pixel files under a directory.  A record whose caption
-    languages are not the dataset's, a manifest ``manifest_rows`` refuses or pixels
-    that are not a uint8 [S, S, 3] array are refused before anything is written."""
+    """Write the manifest and the pixel file under a directory.  A record whose
+    caption languages are not the dataset's, a manifest ``manifest_rows`` refuses,
+    pixels that are not a uint8 [S, S, 3] array or an image size other than the
+    first record's are refused before anything is written."""
     root = Path(path)
-    rows = [["id", "aesthetic_score", "pixels", *dataset.languages]]
+    rows = [["id", "aesthetic_score", *dataset.languages]]
     for record in dataset.records:
         if set(record.captions) != set(dataset.languages):
             raise DatasetFormatError(
@@ -404,29 +448,35 @@ def save_dataset(dataset: Dataset, path) -> None:
             score = repr(float(record.aesthetic_score))
         except (TypeError, ValueError):  # manifest_rows refuses it, naming the record
             score = str(record.aesthetic_score)
-        rows.append([record.id, score, f"{PIXEL_DIR}/{record.id}.rgb",
-                     *(record.captions[lang] for lang in dataset.languages)])
+        rows.append([record.id, score, *(record.captions[lang] for lang in dataset.languages)])
     manifest_rows(rows, root / MANIFEST_NAME)
+    shape = None
     for record in dataset.records:
         pixels, where = np.asarray(record.get_pixels()), f"record {record.id!r}: pixel array"
         if pixels.dtype != np.uint8 or pixels.shape != pixel_shape(pixels.nbytes, where):
             raise DatasetFormatError(f"{where} of {pixels.dtype} {pixels.shape} is not uint8 [S, S, 3]")
-    (root / PIXEL_DIR).mkdir(parents=True, exist_ok=True)
-    for record, row in zip(dataset.records, rows[1:]):
-        (root / row[2]).write_bytes(record.get_pixels().tobytes())
+        shape = shape or pixels.shape
+        if pixels.shape != shape:  # the pixel file holds one image size
+            raise DatasetFormatError(f"{where} of {pixels.shape}, where the first record's is {shape}")
+    root.mkdir(parents=True, exist_ok=True)
+    replace_file(root / PIXEL_FILE, (np.ascontiguousarray(r.get_pixels()) for r in dataset.records))
     write_lines(root / MANIFEST_NAME, ["\t".join(row) for row in rows])
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset directory; each record holds its pixel file's path, read on use."""
+    """Parse a dataset directory; each record holds its slot of the pixel file, read on use."""
     root = Path(path)
     manifest = root / MANIFEST_NAME
     rows = [line.split("\t") for line in read_lines(manifest, DatasetFormatError)]
+    if (root / "pixels").is_dir():
+        raise DatasetFormatError(OLD_LAYOUT.format(manifest))
+    parsed = manifest_rows(rows, manifest)
+    pixel_file = open_pixel_file(root / PIXEL_FILE, len(parsed))
     records = [
-        CaptionedImage(rid, score, captions, pixel_path=root / rel)
-        for rid, score, rel, captions in manifest_rows(rows, manifest)
+        CaptionedImage(rid, score, captions, pixel_file=pixel_file, slot=slot)
+        for slot, (rid, score, captions) in enumerate(parsed)
     ]
-    return Dataset(records=records, languages=rows[0][3:])
+    return Dataset(records=records, languages=rows[0][2:])
 
 
 def split_ids(rows, path):

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,7 +282,10 @@ def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) 
     row is recomputed before the file is used, which catches a file another
     BLAS build wrote.  A failed write is only reported, through ``say``.
     """
-    digests = [hashlib.sha256(r.get_pixels().tobytes()).hexdigest() for r in records]
+    # row i of the [n, S, S, 3] batch is record i's pixel bytes, as save_dataset wrote them
+    digests = [
+        hashlib.sha256(image).hexdigest() for image in pixel_batch(records).transpose(0, 2, 3, 1)
+    ]
     key = image_tower_key(model)
     path = Path(dataset_dir) / FEATURE_DIR / f"{key[:16]}.nclp"
     stored = _read_feature_store(path, key, model.config.image_dim)
@@ -295,7 +299,7 @@ def frozen_image_features(model: M.DualEncoderModel, records, dataset_dir, say) 
     if missing:
         pooled = M.image_features(model, pixel_batch(list(missing.values()))).data
         stored.update(zip(missing, pooled))
-        rows = sorted(set(digests))  # a rewritten pixel file's old row is dropped
+        rows = sorted(set(digests))  # a rewritten image's old row is dropped
         tmp = Path(f"{path}.{os.getpid()}.tmp")  # concurrent runs never share a temporary file
         try:
             path.parent.mkdir(exist_ok=True)
@@ -353,19 +357,25 @@ class RunResult:
     model: M.DualEncoderModel
 
 
-def run_training(config: RunConfig, log=None) -> RunResult:
+def run_training(config: RunConfig, log=None, force: bool = False) -> RunResult:
     """Execute (or resume) one training run and return its summary.
 
     The output directory accumulates: a line-delimited run record, the latest
     checkpoint with its optimizer state in the same file, and the best
     checkpoint by validation loss.  The effective config is written on every
     call and never read back: the run id alone decides what may resume here.
+    With ``force`` (``train --force``) nothing in the output directory is read,
+    and what it holds is deleted only once every check of the request has passed.
     """
     if not config.dataset_dir or not config.output_dir:
         raise ConfigError("training needs both dataset_dir and output_dir")
     config = config.resolved()
     say = log if log is not None else (lambda _: None)
     out = Path(config.output_dir)  # created only before its first write: a refused run writes nothing
+    for field, flag in (("dataset_dir", "--dataset"), ("init_from", "--init-from")):
+        path = getattr(config, field)
+        if force and path and Path(path).is_relative_to(out):
+            raise ConfigError(f"train --force would delete {flag} {path}: it lies in the output dir {out}")
 
     dataset = load_dataset(config.dataset_dir)
     train_records, val_records = split_records(dataset, config.dataset_dir)
@@ -384,9 +394,9 @@ def run_training(config: RunConfig, log=None) -> RunResult:
     )
 
     run_id = run_id_of(config)
-    record = read_record(out)
+    record = [] if force else read_record(out)
     last_path, best_path = out / LAST_CHECKPOINT, out / BEST_CHECKPOINT
-    saved = M.read_checkpoint(last_path) if last_path.exists() else None
+    saved = M.read_checkpoint(last_path) if last_path.exists() and not force else None
     # every run id the directory holds must be this run's: one check, before any write
     held = [(out / RECORD_FILE, e["run_id"]) for e in record if "run_id" in e]
     held += [(last_path, saved[0].metadata.get("run_id"))] if saved else []
@@ -440,6 +450,8 @@ def run_training(config: RunConfig, log=None) -> RunResult:
         image_cache = frozen_image_features(
             model, train_records + val_records, config.dataset_dir, say
         )
+    if force and out.exists():
+        shutil.rmtree(out)
     out.mkdir(parents=True, exist_ok=True)
     M.write_lines(out / EFFECTIVE_CONFIG, config_lines(config))
     write_record(out, record)

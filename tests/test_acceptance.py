@@ -725,8 +725,8 @@ def test_data_pipeline_invariants(tmp_path):
     root = tmp_path / "broken"
     root.mkdir()
     (root / "manifest.tsv").write_text(
-        "id\taesthetic_score\tpixels\teng_Latn\taab_Ciph\n"
-        "img0\t5.0\tpixels/img0.rgb\tred circle\t\n",
+        "id\taesthetic_score\teng_Latn\taab_Ciph\n"
+        "img0\t5.0\tred circle\t\n",
         encoding="utf-8",
     )
     try:

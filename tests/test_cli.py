@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from clipforge import cli, errors
-from clipforge.data import MANIFEST_NAME, SPLIT_NAME, Vocabulary, load_dataset, load_split, save_split
+from clipforge.data import (
+    MANIFEST_NAME,
+    PIXEL_FILE,
+    SPLIT_NAME,
+    Vocabulary,
+    load_dataset,
+    load_split,
+    save_split,
+)
 from clipforge.evaluation import METRIC_NAMES, read_report_jsonl
 
 
@@ -89,6 +97,15 @@ def test_datagen_refuses_existing_output(tmp_path, capsys):
     assert code == 1
     assert err.startswith("E_CONFIG: ")
     assert run(capsys, "datagen", "--output", target, *args, "--force")[0] == 0
+
+
+@pytest.mark.parametrize("bad", [("--languages", "0"), ("--val-fraction", "1.5")], ids=["languages", "val-fraction"])
+def test_a_refused_datagen_force_keeps_the_old_dataset(dataset_dir, tmp_path, capsys, bad):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    before = tree_digest(data)
+    code, _, err = run(capsys, "datagen", "--output", str(data), "--images", "10", *bad, "--force")
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert tree_digest(data) == before
 
 
 def test_datagen_to_an_output_under_a_regular_file_is_refused_in_one_line(tmp_path, capsys):
@@ -186,6 +203,15 @@ def test_train_force_refuses_to_delete_its_own_inputs(dataset_dir, tmp_path, cap
     assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
     assert str(data) in err and "--force" in err
     assert tree_digest(out) == before
+
+
+def test_a_refused_train_force_keeps_the_old_run(dataset_dir, run_dir, tmp_path, capsys):
+    copy = shutil.copytree(run_dir, tmp_path / "run")
+    before = tree_digest(copy)
+    code, _, err = run(capsys, *train_args(dataset_dir, copy, "--languages", "typo_Latn", "--force"))
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert "typo_Latn" in err
+    assert tree_digest(copy) == before
 
 
 def test_commands_do_not_mutate_dataset(dataset_dir, run_dir):
@@ -388,22 +414,9 @@ def test_eval_caption_mode_flag_is_refused(run_dir, dataset_dir, tmp_path, capsy
     assert "--caption-mode" in err
 
 
-def test_eval_takes_the_image_size_from_the_evaluated_records(run_dir, dataset_dir, tmp_path, capsys):
-    data = shutil.copytree(dataset_dir, tmp_path / "ds")
-    first = load_dataset(data).records[0].id
-    assert first not in {i for ids in load_split(data) for i in ids}  # dropped by the filter
-    (data / "pixels" / f"{first}.rgb").write_bytes(bytes(8 * 8 * 3))
-    argv = ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data)]
-    assert run(capsys, *argv, "--output", str(tmp_path / "val"), "--split", "val")[0] == 0
-    status, _, err = run(capsys, *argv, "--output", str(tmp_path / "all"), "--split", "all")
-    assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
-    assert f"record {first}: pixel array of shape (8, 8, 3)" in err
-
-
 def test_eval_of_records_of_another_image_size_is_refused(run_dir, dataset_dir, tmp_path, capsys):
     data = shutil.copytree(dataset_dir, tmp_path / "ds")
-    for record_id in load_split(data)[1]:  # every val record; the manifest's first stays 16x16
-        (data / "pixels" / f"{record_id}.rgb").write_bytes(bytes(8 * 8 * 3))
+    (data / PIXEL_FILE).write_bytes(bytes(len(load_dataset(data)) * 8 * 8 * 3))  # every image 8x8
     out = tmp_path / "e"
     status, _, err = run(
         capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
@@ -614,24 +627,60 @@ def test_train_from_a_missing_init_checkpoint_is_refused(dataset_dir, tmp_path, 
 def test_train_on_a_corpus_missing_a_pixel_file_is_refused(dataset_dir, tmp_path, capsys):
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
-    pixel = data / "pixels" / f"{load_split(data)[0][0]}.rgb"
+    pixel = data / PIXEL_FILE
     pixel.unlink()
     _refused_in_one_line(capsys, train_args(data, tmp_path / "run"), "E_DATASET_FORMAT", pixel)
+    assert not (tmp_path / "run").exists()
 
 
-def test_a_pixel_array_of_another_shape_is_refused_by_train_and_eval(run_dir, dataset_dir, tmp_path, capsys):
-    data = shutil.copytree(dataset_dir, tmp_path / "ds")
-    odd = load_split(data)[0][1]  # a training record, not the manifest's first
-    assert odd != load_dataset(data).records[0].id
-    (data / "pixels" / f"{odd}.rgb").write_bytes(bytes(8 * 8 * 3))
-    for argv in (
+def _train_and_eval(run_dir, data, tmp_path):
+    return (
         train_args(data, tmp_path / "run"),
         ["eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
          "--output", str(tmp_path / "e"), "--split", "all"],
-    ):
+    )
+
+
+def test_a_pixel_file_one_byte_off_is_refused_by_train_and_eval_before_writing(
+    run_dir, dataset_dir, tmp_path, capsys
+):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    pixels = data / PIXEL_FILE
+    whole = pixels.read_bytes()
+    for damaged in (whole[:-1], whole + b"\0"):  # one byte short, one byte long
+        pixels.write_bytes(damaged)
+        before = tree_digest(data)
+        for argv in _train_and_eval(run_dir, data, tmp_path):
+            status, _, err = run(capsys, *argv)
+            assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
+            assert f"pixel file {pixels}: {len(damaged)} bytes do not split into" in err
+        assert tree_digest(data) == before
+        assert not (tmp_path / "run").exists() and not (tmp_path / "e").exists()
+
+
+def test_a_dataset_of_the_old_layout_is_refused_by_train_and_eval_in_one_line(
+    run_dir, dataset_dir, tmp_path, capsys
+):
+    # the old layout: a pixels column naming pixels/<id>.rgb, one file per image
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    records = load_dataset(data).records
+    (data / "pixels").mkdir()
+    for record in records:
+        (data / "pixels" / f"{record.id}.rgb").write_bytes(record.get_pixels().tobytes())
+    (data / PIXEL_FILE).unlink()
+    rows = [line.split("\t") for line in (data / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()]
+    cells = ["pixels"] + [f"pixels/{r.id}.rgb" for r in records]
+    (data / MANIFEST_NAME).write_text(
+        "".join("\t".join([*row[:2], cell, *row[2:]]) + "\n" for row, cell in zip(rows, cells)), encoding="utf-8"
+    )
+    before = tree_digest(data)
+    for argv in _train_and_eval(run_dir, data, tmp_path):
         status, _, err = run(capsys, *argv)
-        assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
-        assert f"record {odd}: pixel array of shape (8, 8, 3)" in err
+        assert err == (f"E_DATASET_FORMAT: {data / MANIFEST_NAME}: a dataset of the old layout, one pixel"
+                       " file per image under pixels/; run clipforge datagen again\n")
+        assert status == 1
+    assert tree_digest(data) == before
+    assert not (tmp_path / "run").exists() and not (tmp_path / "e").exists()
 
 
 def test_a_split_naming_an_unknown_record_is_refused_by_eval_and_train(run_dir, dataset_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from clipforge.data import (
     COLORS,
     EOS_ID,
     PAD_ID,
+    PIXEL_FILE,
     UNK_ID,
     CaptionedImage,
     Dataset,
@@ -26,7 +28,6 @@ from clipforge.data import (
     load_split,
     manifest_digest,
     pixel_batch,
-    read_pixel_file,
     sample_epoch,
     save_dataset,
     save_split,
@@ -249,11 +250,8 @@ def test_corpus_identical_across_runs(tmp_path):
     b = generate_synthetic_corpus(40, 3, image_size=16, seed=5)
     save_dataset(a, tmp_path / "a")
     save_dataset(b, tmp_path / "b")
-    assert (tmp_path / "a/manifest.tsv").read_bytes() == (tmp_path / "b/manifest.tsv").read_bytes()
-    for record in a.records[:5]:
-        assert (tmp_path / f"a/pixels/{record.id}.rgb").read_bytes() == (
-            tmp_path / f"b/pixels/{record.id}.rgb"
-        ).read_bytes()
+    for name in ("manifest.tsv", PIXEL_FILE):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_corpus_language_codes():
@@ -371,20 +369,20 @@ def test_a_field_with_a_tab_or_a_line_break_is_refused_before_anything_is_writte
         ("aesthetic_score", float("nan"), "'img000003' has non-finite aesthetic score"),
         ("aesthetic_score", float("inf"), "'img000003' has non-finite aesthetic score"),
         ("id", "img000001", "duplicate record id 'img000001'"),
-        ("id", "img/3", "'img/3' holds '/' or NUL"),
-        ("id", "img\x003", "'img\\x003' holds '/' or NUL"),
         ("languages", [BASE_LANGUAGE, ""], "language codes, got ['eng_Latn', '']"),
         ("languages", [], "language codes, got []"),
+        ("languages", [BASE_LANGUAGE, "pixels"], "a dataset of the old layout"),
         ("pixels", np.zeros((8, 8, 3)), "'img000003': pixel array of float64 (8, 8, 3)"),
         ("pixels", np.zeros((4, 16, 3), np.uint8), "'img000003': pixel array of uint8 (4, 16, 3)"),
         ("pixels", np.zeros((8, 8, 4), np.uint8), "'img000003': pixel array: size 256"),
+        ("pixels", np.zeros((16, 16, 3), np.uint8), "'img000003': pixel array of (16, 16, 3), where the first"
+         " record's is (8, 8, 3)"),
         ("captions", {BASE_LANGUAGE: "red\ud800", "aab_Ciph": "x"}, "field 'red\\ud800' holds a lone surrogate"),
-        ("id", "\u00e9" * 126, "pixel file name over 255 bytes"),
         ("aesthetic_score", "high", "'img000003' has bad aesthetic score 'high'"),
     ],
-    ids=["empty caption", "nan score", "inf score", "repeated id", "id with a slash", "id with a NUL",
-         "empty language", "no languages", "float pixels", "4x16 pixels", "4 channels",
-         "lone surrogate", "id of 252 utf-8 bytes", "score 'high'"],
+    ids=["empty caption", "nan score", "inf score", "repeated id", "empty language", "no languages",
+         "language 'pixels'", "float pixels", "4x16 pixels", "4 channels", "16x16 after 8x8",
+         "lone surrogate", "score 'high'"],
 )
 def test_save_dataset_refuses_what_load_dataset_refuses_before_anything_is_written(tmp_path, field, value, named):
     ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
@@ -414,16 +412,17 @@ def test_save_split_refuses_what_load_split_refuses_before_writing(tmp_path, tra
 GOOD = st.text(alphabet="ab\u00e9 \u2028\x85\x0c", min_size=1, max_size=3)
 ANY = st.text(alphabet="ab/\x00\t\n\r", max_size=2)  # text some rule may refuse
 PIXELS = [np.zeros((8, 8, 3)), np.zeros((4, 16, 3), np.uint8), np.zeros((8, 8, 4), np.uint8),
-          np.ones((8, 8, 3), np.uint8)]
+          np.ones((8, 8, 3), np.uint8), np.ones((5, 5, 3), np.uint8)]  # the last: another image size
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_what_save_dataset_writes_load_dataset_reads_back_equal(data):
     languages = data.draw(st.lists(GOOD, min_size=1, max_size=3, unique=True))
+    side = data.draw(st.sampled_from([1, 8]))
     records = [
         CaptionedImage(rid, data.draw(st.floats(-1e300, 1e300)), {lang: data.draw(GOOD) for lang in languages},
-                       np.arange(192, dtype=np.uint8).reshape(8, 8, 3) + i)
+                       np.arange(side * side * 3, dtype=np.uint8).reshape(side, side, 3) + i)
         for i, rid in enumerate(data.draw(st.lists(GOOD, min_size=1, max_size=3, unique=True)))
     ]
     record = data.draw(st.sampled_from(records))  # at most one field is replaced, maybe by one refused
@@ -449,11 +448,13 @@ def test_what_save_dataset_writes_load_dataset_reads_back_equal(data):
         except DatasetFormatError:
             assert not target.exists()
             return
+        assert (target / PIXEL_FILE).read_bytes() == b"".join(r.pixels.tobytes() for r in ds.records)
         back = load_dataset(target)
         assert back.languages == ds.languages
         assert [(r.id, r.aesthetic_score, r.captions, r.get_pixels().tobytes()) for r in back.records] == [
             (r.id, r.aesthetic_score, r.captions, r.pixels.tobytes()) for r in ds.records
         ]
+        assert np.array_equal(pixel_batch(back.records[::-1]), pixel_batch(ds.records[::-1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,13 +477,15 @@ def test_what_save_split_writes_load_split_reads_back_equal(ids, cut, fault):
 
 
 def test_loader_is_lazy_about_pixels(tmp_path):
-    header = "id\taesthetic_score\tpixels\teng_Latn"
-    rows = [f"img{i}\t5.0\tpixels/img{i}.rgb\tred circle" for i in range(5000)]
-    write_manifest(tmp_path, [header] + rows)
-    ds = load_dataset(tmp_path)  # pixel files do not exist; must not be touched
-    assert len(ds) == 5000
-    assert ds.records[0].pixels is None
-    with pytest.raises(DatasetFormatError, match="pixels/img0.rgb"):
+    rows = [f"img{i}\t5.0\tred circle" for i in range(5000)]
+    write_manifest(tmp_path, ["id\taesthetic_score\teng_Latn"] + rows)
+    with open(tmp_path / PIXEL_FILE, "wb") as fh:
+        fh.truncate(5000 * 16 * 16 * 3)  # a file the loader only sizes
+    ds = load_dataset(tmp_path)
+    assert len(ds) == 5000 and ds.records[0].pixels is None
+    assert ds.records[4999].pixel_file.side == 16 and ds.records[4999].slot == 4999
+    (tmp_path / PIXEL_FILE).unlink()
+    with pytest.raises(DatasetFormatError, match=f"cannot read pixel file .*{PIXEL_FILE}"):
         ds.records[0].get_pixels()
 
 
@@ -500,26 +503,91 @@ def test_a_record_read_from_disk_rereads_its_pixel_file_and_keeps_nothing(tmp_pa
 def test_a_generated_record_keeps_its_in_memory_pixels():
     record = generate_synthetic_corpus(3, 1, image_size=16, seed=4).records[0]
     pixels = record.pixels
-    assert pixels is not None and record.pixel_path is None
+    assert pixels is not None and record.pixel_file is None
     assert record.get_pixels() is pixels and record.pixels is pixels
+
+
+def test_pixel_batch_reads_records_of_one_pixel_file_through_one_open(tmp_path, monkeypatch):
+    ds = generate_synthetic_corpus(6, 1, image_size=8, seed=4)
+    save_dataset(ds, tmp_path)
+    records = load_dataset(tmp_path).records
+    order = [4, 0, 4, 2]  # any order, a record twice
+    opened, real_open = [], open
+    monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    batch = pixel_batch([records[i] for i in order])
+    assert opened == [tmp_path / PIXEL_FILE]
+    assert np.array_equal(batch, np.stack([ds.records[i].pixels for i in order]).transpose(0, 3, 1, 2))
 
 
 @pytest.mark.parametrize("cell", ["../outside.bin", "/abs/outside.bin"], ids=["relative", "absolute"])
 def test_loader_refuses_a_pixels_cell_other_than_the_records_own_file(tmp_path, cell):
-    # without this rule the loader would read these bytes as img1's image
+    # a manifest with a pixels column is the old layout: no cell of it names a file the loader reads
     (tmp_path / "outside.bin").write_bytes(bytes(192))
     cell = cell.replace("/abs", str(tmp_path))
     (tmp_path / "ds").mkdir()
     header = "id\taesthetic_score\tpixels\teng_Latn"
     write_manifest(tmp_path / "ds", [header, "img0\t5.0\tpixels/img0.rgb\tred", f"img1\t5.0\t{cell}\tblue"])
-    named = f":3: record 'img1': pixels cell {cell!r} is not pixels/img1.rgb"
+    named = f"{tmp_path / 'ds' / 'manifest.tsv'}: a dataset of the old layout"
     with pytest.raises(DatasetFormatError, match=re.escape(named)):
         load_dataset(tmp_path / "ds")
 
 
+def test_a_dataset_of_the_old_layout_is_refused_with_one_message(tmp_path):
+    ds = generate_synthetic_corpus(4, 2, image_size=8, seed=4)
+    save_dataset(ds, tmp_path)
+    message = f"{tmp_path / 'manifest.tsv'}: a dataset of the old layout, one pixel file per image under" \
+              " pixels/; run clipforge datagen again"
+    (tmp_path / "pixels").mkdir()  # the old layout's directory, beside a manifest of the new one
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == message
+    (tmp_path / "pixels").rmdir()
+    old = ["\t".join(["id", "aesthetic_score", "pixels", *ds.languages])]  # the old header, never a language
+    old += ["\t".join([r.id, "5.0", f"pixels/{r.id}.rgb", *r.captions.values()]) for r in ds.records]
+    write_manifest(tmp_path, old)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("damage", ["missing", "one byte short", "one byte long"])
+def test_a_pixel_file_of_another_size_is_refused_at_load(tmp_path, damage):
+    ds = generate_synthetic_corpus(4, 1, image_size=8, seed=4)
+    save_dataset(ds, tmp_path)
+    pixels = tmp_path / PIXEL_FILE
+    if damage == "missing":
+        pixels.unlink()
+    else:
+        os.truncate(pixels, 4 * 192 + (1 if damage == "one byte long" else -1))
+    named = "No such file or directory" if damage == "missing" else "do not split into 4 equal images"
+    with pytest.raises(DatasetFormatError, match=re.escape(named)):
+        load_dataset(tmp_path)
+
+
+def test_pixel_file_size_validation(tmp_path):
+    for count, size, named in [(1, 100, "size 100 is not a multiple of 3"),
+                               (1, 5 * 7 * 3, "105 bytes is not a square RGB image"),
+                               (0, 3, "3 bytes do not split into 0 equal images")]:
+        write_manifest(tmp_path, ["id\taesthetic_score\teng_Latn"] + [f"img{i}\t5.0\tred" for i in range(count)])
+        (tmp_path / PIXEL_FILE).write_bytes(bytes(size))
+        with pytest.raises(DatasetFormatError, match=re.escape(named)):
+            load_dataset(tmp_path)
+
+
+def test_a_pixel_file_whose_size_changed_after_load_is_refused_when_read(tmp_path):
+    ds = generate_synthetic_corpus(4, 1, image_size=8, seed=4)
+    save_dataset(ds, tmp_path)
+    records = load_dataset(tmp_path).records
+    with open(tmp_path / PIXEL_FILE, "ab") as fh:
+        fh.write(bytes(192))  # one more image, appended after load
+    for read in (records[0].get_pixels, lambda: pixel_batch(records)):
+        with pytest.raises(DatasetFormatError, match="960 bytes, not the 768 it held when the dataset was loaded"):
+            read()
+
+
 def test_loader_rejects_missing_caption(tmp_path):
-    header = "id\taesthetic_score\tpixels\teng_Latn\taab_Ciph"
-    rows = ["img0\t5.0\tpixels/img0.rgb\tred circle\t"]
+    header = "id\taesthetic_score\teng_Latn\taab_Ciph"
+    rows = ["img0\t5.0\tred circle\t"]
     write_manifest(tmp_path, [header] + rows)
     with pytest.raises(DatasetFormatError) as exc:
         load_dataset(tmp_path)
@@ -527,8 +595,8 @@ def test_loader_rejects_missing_caption(tmp_path):
 
 
 def test_loader_rejects_wrong_field_count(tmp_path):
-    header = "id\taesthetic_score\tpixels\teng_Latn\taab_Ciph"
-    rows = ["img0\t5.0\tpixels/img0.rgb\tred circle"]
+    header = "id\taesthetic_score\teng_Latn\taab_Ciph"
+    rows = ["img0\t5.0\tred circle"]
     write_manifest(tmp_path, [header] + rows)
     with pytest.raises(DatasetFormatError) as exc:
         load_dataset(tmp_path)
@@ -536,10 +604,10 @@ def test_loader_rejects_wrong_field_count(tmp_path):
 
 
 def test_loader_rejects_duplicate_id(tmp_path):
-    header = "id\taesthetic_score\tpixels\teng_Latn"
+    header = "id\taesthetic_score\teng_Latn"
     rows = [
-        "img0\t5.0\tpixels/img0.rgb\tred circle",
-        "img0\t5.1\tpixels/img0.rgb\tblue square",
+        "img0\t5.0\tred circle",
+        "img0\t5.1\tblue square",
     ]
     write_manifest(tmp_path, [header] + rows)
     with pytest.raises(DatasetFormatError) as exc:
@@ -548,20 +616,20 @@ def test_loader_rejects_duplicate_id(tmp_path):
 
 
 def test_loader_rejects_bad_scores(tmp_path):
-    header = "id\taesthetic_score\tpixels\teng_Latn"
-    write_manifest(tmp_path, [header, "img0\tnot-a-number\tp.rgb\tred"])
+    header = "id\taesthetic_score\teng_Latn"
+    write_manifest(tmp_path, [header, "img0\tnot-a-number\tred"])
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path)
-    write_manifest(tmp_path, [header, "img0\tnan\tp.rgb\tred"])
+    write_manifest(tmp_path, [header, "img0\tnan\tred"])
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path)
 
 
 def test_loader_rejects_bad_headers(tmp_path):
-    write_manifest(tmp_path, ["id\taesthetic_score\tpixels"])
+    write_manifest(tmp_path, ["id\taesthetic_score"])
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path)
-    write_manifest(tmp_path, ["id\taesthetic_score\tpixels\teng_Latn\teng_Latn"])
+    write_manifest(tmp_path, ["id\taesthetic_score\teng_Latn\teng_Latn"])
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path)
     write_manifest(tmp_path, ["wrong\theader\trow\teng_Latn"])
@@ -572,16 +640,6 @@ def test_loader_rejects_bad_headers(tmp_path):
 def test_missing_manifest(tmp_path):
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "nowhere")
-
-
-def test_pixel_file_size_validation(tmp_path):
-    bad = tmp_path / "bad.rgb"
-    bad.write_bytes(b"\x00" * 100)  # not a multiple of 3
-    with pytest.raises(DatasetFormatError):
-        read_pixel_file(bad)
-    bad.write_bytes(b"\x00" * (5 * 7 * 3))  # not square
-    with pytest.raises(DatasetFormatError):
-        read_pixel_file(bad)
 
 
 @pytest.mark.parametrize("odd", [0, 2], ids=["first", "middle"])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import re
@@ -14,10 +15,10 @@ from clipforge import tensor as T
 from clipforge import training
 from clipforge.data import (
     MANIFEST_NAME,
+    PIXEL_FILE,
     SPLIT_NAME,
     Vocabulary,
     aesthetic_filter,
-    file_sha256,
     generate_synthetic_corpus,
     load_dataset,
     load_split,
@@ -855,8 +856,8 @@ def test_a_run_of_another_image_tower_replaces_a_store_file_of_another_key(tmp_p
 
 def _pixel_file_digests(data) -> set:
     """sha256 of the pixel file bytes of every train and validation record."""
-    ids = [rid for part in load_split(data) for rid in part]
-    return {file_sha256(Path(data) / "pixels" / f"{rid}.rgb") for rid in ids}
+    ids = {rid for part in load_split(data) for rid in part}
+    return {hashlib.sha256(r.get_pixels()).hexdigest() for r in load_dataset(data).records if r.id in ids}
 
 
 def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch):
@@ -864,9 +865,14 @@ def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch
     _frozen_run(data, tmp_path / "a")
     [path] = _stored(data)
     train_ids, _ = load_split(data)
-    pixels = [data / "pixels" / f"{rid}.rgb" for rid in train_ids[:3]]
-    pixels[0].write_bytes(bytes(255 - b for b in pixels[0].read_bytes()))  # an image of its own
-    pixels[1].write_bytes(pixels[2].read_bytes())  # a copy shares its original's row
+    by_id = {r.id: r for r in load_dataset(data).records}
+    first, second, third = (by_id[rid] for rid in train_ids[:3])
+    with open(data / PIXEL_FILE, "r+b") as fh:  # rewrite two records' slots in place
+        nbytes = first.get_pixels().nbytes
+        fh.seek(first.slot * nbytes)
+        fh.write(255 - first.get_pixels())  # an image of its own
+        fh.seek(second.slot * nbytes)
+        fh.write(third.get_pixels())  # a copy shares its original's row
     plain = shutil.copytree(data, tmp_path / "plain", ignore=shutil.ignore_patterns(training.FEATURE_DIR))
     expected = _frozen_run(plain, tmp_path / "p")
     calls = _counted_image_features(monkeypatch)
@@ -889,7 +895,7 @@ def test_a_full_run_keeps_no_record_pixels(dataset_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(training, "load_dataset", lambda path: loaded.append(load(path)) or loaded[-1])
     run_training(tiny_config(dataset_dir, tmp_path / "run", regime="full"))
     [dataset] = loaded
-    assert all(r.pixel_path is not None and r.pixels is None for r in dataset.records)
+    assert all(r.pixel_file is not None and r.pixels is None for r in dataset.records)
 
 
 def test_the_store_fill_and_pixel_batch_keep_no_record_pixels(tmp_path):
