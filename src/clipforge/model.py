@@ -37,10 +37,12 @@ CHANNELS = 3
 MLP_RATIO = 4
 INIT_STD = 0.02
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)  # ~2.659
-# token rows per block of a tower forward that records no graph: at 512 rows,
-# an l tower's MLP hidden array (512 x 4 * 128 float32) is 1 MiB and stays in
-# a core's 2 MiB L2, where a batch-wide one (8 MiB at 256 images) streams
-# through memory and is paged in afresh by every op
+# token rows per block of a tower pass: at 512 rows, an l tower's MLP hidden
+# array (512 x 4 * 128 float32) is 1 MiB and stays in a core's 2 MiB L2, where
+# a batch-wide one (8 MiB at 256 images) streams through memory and is paged
+# in afresh by every op. A pass that records no graph runs its blocks one by
+# one; a tower that trains runs them through tensor._joined_blocks, whose
+# module docstring says which thread runs which block
 ROW_BLOCK = 512
 
 # preset name -> (layers, width, heads) per tower
@@ -247,15 +249,21 @@ def _patchify(images: np.ndarray, patch: int) -> np.ndarray:
 def _pooled_in_blocks(model: DualEncoderModel, tower: str, items: int, rows_per_item: int, forward) -> T.Tensor:
     """``forward(a, b)``, the pooled rows of items a..b-1, for all ``items``.
 
-    A tower that does not train runs over blocks of at most ``ROW_BLOCK``
-    token rows, with no batch-wide temporaries; each pooled row depends only
-    on its own item, so their concatenation is bitwise the one-call result.
+    The tower runs over blocks of at most ``ROW_BLOCK`` token rows; each
+    pooled row depends only on its own item, so their concatenation is
+    bitwise the one-call result. A tower that does not train runs the blocks
+    one by one on the calling thread and keeps only their rows; one that
+    trains joins them in ``T._joined_blocks``, on one or two threads (see the
+    tensor module docstring).
     """
-    if items * rows_per_item <= ROW_BLOCK or trains(model, tower):
+    if items * rows_per_item <= ROW_BLOCK:
         return forward(0, items)
     step = max(1, ROW_BLOCK // rows_per_item)
-    rows = np.concatenate([forward(a, min(a + step, items)).data for a in range(0, items, step)])
-    return T.Tensor(rows, dtype=rows.dtype)
+    bounds = [(a, min(a + step, items)) for a in range(0, items, step)]
+    if not trains(model, tower):
+        rows = np.concatenate([forward(a, b).data for a, b in bounds])
+        return T.Tensor(rows, dtype=rows.dtype)
+    return T._joined_blocks(forward, bounds)
 
 
 def _image_tower(model: DualEncoderModel, raw: np.ndarray) -> T.Tensor:

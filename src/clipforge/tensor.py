@@ -7,7 +7,8 @@ input and parameters and recomputes the hidden array in its backward),
 elementwise arithmetic with trailing-shape broadcast, embedding lookup, row
 narrowing, axis swap, layer norm, multi-head attention (one node from q/k/v to
 the merged heads), the 2-D matmul of the similarity matrix, softmax cross
-entropy, masked mean pooling and L2 normalization.  ``reshape``, ``softmax``,
+entropy, masked mean pooling, L2 normalization, and the join of row blocks
+whose graphs are walked on two threads.  ``reshape``, ``softmax``,
 ``sum_``, ``mean_``, ``gelu`` and ``matmul``'s batched branch are called by no
 model code: the tests and the benchmark use them.
 
@@ -18,11 +19,29 @@ gradient-check suite); all production paths construct float32 tensors.
 Broadcasting is restricted: in binary ops the second operand's shape must
 equal a trailing suffix of the first operand's shape. Anything else needs
 an explicit reshape.
+
+Row blocks on two threads: ``_joined_blocks`` runs a tower's row blocks and
+joins their pooled rows with ``join_rows``, each block the root of a graph of
+its own. Where the process may use two or more cores and numpy's bundled
+OpenBLAS can be set to one thread, the calling thread runs the first half of
+the blocks, forward and backward, and one worker thread, started by the first
+such pass, runs the second half; that first pass also sets OpenBLAS to one
+thread for the rest of the process, so the two halves and BLAS's own threads
+do not contend for the cores. Anywhere else the blocks run one after another
+on the calling thread. Each block runs its ops on one thread, in the order a
+serial run uses, and ``join_rows`` sums each leaf's gradient over the blocks
+in block order on the caller, so no result depends on the thread schedule,
+the core count or the BLAS thread count. A process forked after the worker
+started has no copy of it, and decides and starts anew on its first split.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -598,6 +617,114 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _result(out, (x,), bwd, "l2_normalize")
 
 
+def join_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The rows of ``parts`` concatenated along axis 0, as one node.
+
+    Each part is the root of a graph of its own, and the graphs meet only in
+    leaves; the node's parents are those leaves that require a gradient. Its
+    backward walks each part from the part's own rows of the gradient, the
+    parts split by ``_in_halves``, then sums each leaf's gradient over the
+    parts in part order, so the bits do not depend on which thread ends
+    first. The walks consume the parts' graphs, as ``backward`` does; parts
+    that share an op result are refused with GraphError."""
+    nodes = [n for part in parts for n in _walk_order(part) if n.requires_grad]
+    inner = [id(n) for n in nodes if n.op != "leaf"]
+    if len(set(inner)) < len(inner):
+        raise GraphError("join_rows: the parts share an op result; their graphs may meet only in leaves")
+    leaves = dict.fromkeys(n for n in nodes if n.op == "leaf")
+    ends = np.cumsum([part.shape[0] for part in parts]).tolist()
+    blocks = list(zip(parts, [0] + ends[:-1], ends))
+    out = np.concatenate([part.data for part in parts])
+
+    def bwd(g):
+        walks = _in_halves(lambda half: [_walk(part, g[a:b]) for part, a, b in half], blocks)
+        return [reduce(operator.add, [walk[leaf] for walk in walks if leaf in walk]) for leaf in leaves]
+
+    return _result(out, tuple(leaves), bwd, "join_rows")
+
+
+_split: Optional[bool] = None  # whether _in_halves splits; its first split decides
+_worker = None  # the ThreadPoolExecutor of _in_halves
+_worker_ident: Optional[int] = None
+_worker_lock = threading.Lock()
+
+
+def _joined_blocks(forward: Callable[[int, int], Tensor], bounds: list) -> Tensor:
+    """``join_rows`` of ``forward(a, b)`` for every ``(a, b)`` in ``bounds``,
+    the blocks split by ``_in_halves``."""
+    return join_rows(_in_halves(lambda half: [forward(a, b) for a, b in half], bounds))
+
+
+def _in_halves(run: Callable[[list], list], items: list) -> list:
+    """``run(items[:h]) + run(items[h:])`` with h = ceil(len(items) / 2): the
+    first half on the calling thread, the second on the one worker thread, or
+    ``run(items)`` on the calling thread where the split is off (see the module
+    docstring). A call made on the worker itself (a join inside a worker's
+    block) runs both halves there. An error in the worker's half is raised here
+    as it was raised there, once both halves have ended."""
+    global _split, _worker, _worker_ident
+    if len(items) < 2 or threading.get_ident() == _worker_ident:
+        return run(items)
+    with _worker_lock:
+        if _split is None:
+            _split = _usable_cores() >= 2 and _one_blas_thread()
+        if _split and _worker is None:
+            # imported here: it imports logging, 0.8 MB of RSS a graph-free process never needs
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="clipforge-half")
+            _worker_ident = _worker.submit(threading.get_ident).result()
+    if not _split:
+        return run(items)
+    h = (len(items) + 1) // 2
+    theirs = _worker.submit(run, items[h:])
+    try:
+        mine = run(items[:h])
+    except BaseException:
+        theirs.exception()  # the worker's half ends before this error leaves
+        raise
+    return mine + theirs.result()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _one_blas_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread for this process; whether
+    it now runs one. False where no such library or call is found."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(np.__path__[0] + ".libs", "*openblas*")) + glob.glob(
+        os.path.join(np.__path__[0], ".dylibs", "*openblas*")
+    ):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if set_threads is not None and get_threads is not None:
+                    set_threads(1)
+                    return get_threads() == 1
+    return False
+
+
+def _forget_worker() -> None:
+    # a forked child has no copy of the worker thread: its first split decides and starts anew
+    global _split, _worker, _worker_ident, _worker_lock
+    _split, _worker, _worker_ident, _worker_lock = None, None, None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 # ---------------------------------------------------------------------------
 # graph traversal
 # ---------------------------------------------------------------------------
@@ -622,6 +749,36 @@ def topo_order(root: Tensor) -> list:
     return order
 
 
+def _walk_order(root: Tensor) -> list:
+    """``topo_order(root)``; a graph holding a node a walk has consumed is refused."""
+    order = topo_order(root)
+    if any(n.requires_grad and n.op != "leaf" and n._backward is None for n in order):
+        raise GraphError("backward: this graph was already used by backward(); build it again")
+    return order
+
+
+def _walk(root: Tensor, grad: np.ndarray) -> dict:
+    """{leaf: d(root)/d(leaf) contracted with ``grad``} for every requires_grad
+    leaf reachable from ``root``, consuming the graph as ``backward`` does."""
+    order = _walk_order(root)
+    grads: dict = {id(root): grad}
+    leaves: dict = {}
+    while order:
+        node = order.pop()
+        g = grads.pop(id(node), None)
+        if g is None or not node.requires_grad:
+            continue
+        if node.op == "leaf":
+            leaves[node] = g
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+        node._backward, node._parents = None, ()
+    return leaves
+
+
 def backward(root: Tensor) -> None:
     """Add d(root)/d(leaf) to the .grad of every requires_grad leaf reachable
     from a scalar root; a leaf is a tensor built from data (op "leaf"). Op
@@ -638,20 +795,5 @@ def backward(root: Tensor) -> None:
     across separate graphs (reset .grad to None between steps)."""
     if root.size != 1:
         raise GraphError(f"backward: root must be a scalar, got shape {root.shape}")
-    order = topo_order(root)
-    if any(n.requires_grad and n.op != "leaf" and n._backward is None for n in order):
-        raise GraphError("backward: this graph was already used by backward(); build it again")
-    grads: dict = {id(root): np.ones_like(root.data)}
-    while order:
-        node = order.pop()
-        g = grads.pop(id(node), None)
-        if g is None or not node.requires_grad:
-            continue
-        if node.op == "leaf":
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if parent.requires_grad:
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
-        node._backward, node._parents = None, ()
+    for leaf, g in _walk(root, np.ones_like(root.data)).items():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -167,6 +167,13 @@ def _op_cases(rng):
     lengths = rng.integers(1, 5, size=2)
     key_mask = np.where(np.arange(4)[None, :] < lengths[:, None], 0.0, -1e9)[:, None, None, :]
     case("attention key mask", [q, k, v], lambda q=q, k=k, v=v: T.attention(q, k, v, 2, key_mask))
+    # two blocks that share w and b: the caller walks the first, the worker thread the second
+    x0, x1, w, bb = leaf(2, 4), leaf(3, 4), leaf(4, 5), leaf(5)
+    case(
+        "join_rows shared leaves",
+        [x0, x1, w, bb],
+        lambda x0=x0, x1=x1, w=w, b=bb: T.join_rows([T.linear(x0, w, b), T.gelu(T.linear(x1, w, b))]),
+    )
     return cases
 
 

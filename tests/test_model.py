@@ -1,5 +1,12 @@
+import concurrent.futures
+import ctypes
 import dataclasses
+import glob
+import multiprocessing
+import os
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +20,7 @@ from clipforge.errors import (
     CheckpointIntegrityError,
     ConfigError,
     DimensionError,
+    GraphError,
 )
 from clipforge.model import (
     PRESETS,
@@ -368,6 +376,135 @@ def test_graph_free_forwards_hold_no_batch_wide_temporaries():
     assert image_peak < 256 * cfg.num_patches * 4 * cfg.image_dim * 4
     text_peak = _traced_peak(lambda: encode_text(model, tokens, lengths))
     assert text_peak < 256 * 16 * 4 * cfg.text_dim * 4
+
+
+def _trained_lb_batch():
+    """An l-b model that trains both towers, a 64-image batch (two blocks of
+    ROW_BLOCK rows for the image tower) and 64 captions of up to 7 tokens."""
+    cfg = ModelConfig.from_presets("l-b", vocab_size=40, max_text_len=16)
+    model = DualEncoderModel(cfg, init_seed=3)
+    apply_freeze(model, FreezeRegime.FULL)
+    rng = np.random.default_rng(29)
+    images = rng.integers(0, 256, size=(64, 3, 32, 32), dtype=np.uint8)
+    return model, images, rng.integers(0, 40, (64, 7)), rng.integers(2, 8, 64)
+
+
+def test_trained_image_tower_in_halves_is_bitwise_the_serial_block_sum(monkeypatch):
+    monkeypatch.setattr(T, "_split", True)  # whatever the cores and the BLAS of this process
+    model, images, tokens, lengths = _trained_lb_batch()
+    assert len(images) * model.config.num_patches == 2 * M.ROW_BLOCK
+    layer_norm, threads = T.layer_norm, set()
+
+    def recording_layer_norm(*args):
+        threads.add(threading.get_ident())
+        return layer_norm(*args)
+
+    monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
+
+    def loss_of(image_emb):
+        return clip_loss(similarity(image_emb, encode_text(model, tokens, lengths), model.logit_scale))
+
+    def step():
+        model.zero_grad()
+        pooled = image_features(model, images)
+        loss = loss_of(M.project_image(model, pooled))
+        T.backward(loss)
+        return float(loss.data), pooled.data, {name: p.grad for name, p in model.params.items()}
+
+    loss, rows, grads = step()
+    assert len(threads) == 2  # the second block's forward ran on the worker thread
+    again = step()  # a second run gives the same bits
+    assert again[0] == loss and again[1].tobytes() == rows.tobytes()
+    assert all(np.array_equal(g, again[2][name]) for name, g in grads.items())
+
+    # the pooled rows of one unblocked forward
+    with monkeypatch.context() as m:
+        m.setattr(M, "ROW_BLOCK", len(images) * model.config.num_patches)
+        assert image_features(model, images).data.tobytes() == rows.tobytes()
+
+    # the serial reference: the gradient that reaches the pooled rows, then
+    # one block after another on this thread, each summed into .grad in block order
+    model.zero_grad()
+    pooled = T.Tensor(rows, requires_grad=True)
+    reference_loss = loss_of(M.project_image(model, pooled))
+    T.backward(reference_loss)
+    assert float(reference_loss.data) == loss
+    block = M.ROW_BLOCK // model.config.num_patches
+    for a in range(0, len(images), block):
+        part = image_features(model, images[a : a + block])
+        T.backward(T.sum_(T.mul(part, T.Tensor(pooled.grad[a : a + block]))))
+    for name, p in model.params.items():
+        assert np.array_equal(grads[name], p.grad), name
+
+
+def _thread_counts(one_core):
+    """Threads alive in a fresh process, on one core or on all it may use: at
+    start, after ``evaluate`` (two blocks per image forward), after a trained
+    one-block forward and backward, after one blocked training pass and after
+    a second one; whether the blocks were split; and the OpenBLAS thread
+    count before and after, if numpy's OpenBLAS can be read."""
+    from clipforge.data import Vocabulary, generate_synthetic_corpus
+    from clipforge.evaluation import evaluate
+
+    if one_core:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    blas = []
+    counts = [threading.active_count()]
+    ds = generate_synthetic_corpus(40, 2, image_size=32, seed=4)
+    vocab = Vocabulary.for_dataset(ds)
+    model = DualEncoderModel(ModelConfig.from_presets("l-b", vocab.size, 16), init_seed=4)
+    evaluate(model, ds, vocab)  # 40 images of 16 patches: 640 rows, two blocks
+    counts.append(threading.active_count())
+    images = np.stack([r.get_pixels() for r in ds.records]).transpose(0, 3, 1, 2)
+    T.backward(T.sum_(encode_image(model, images[:32])))
+    counts.append(threading.active_count())
+    blas.append(_openblas_threads())
+    for _ in range(2):
+        model.zero_grad()
+        T.backward(T.sum_(encode_image(model, images)))
+        counts.append(threading.active_count())
+    blas.append(_openblas_threads())
+    return counts, T._split, blas
+
+
+def _openblas_threads():
+    libs = glob.glob(np.__path__[0] + ".libs/*scipy_openblas64_*")
+    return ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("one_core", [True, False], ids=["one-core", "all-cores"])
+def test_only_a_blocked_training_pass_on_two_cores_starts_the_one_worker_thread(one_core):
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        counts, split, blas = pool.submit(_thread_counts, one_core).result(timeout=120)
+    start = counts[0]
+    assert counts == [start] * 3 + [start + split] * 2
+    if one_core:  # one core: the blocks run serially and BLAS keeps its thread count
+        assert split is False and blas[1] == blas[0]
+    elif len(os.sched_getaffinity(0)) >= 2 and blas[0] is not None:
+        assert split is True and blas[1] == 1  # two cores: the worker runs, and BLAS runs one thread
+
+
+def test_trained_blocks_leave_no_graph_alive_after_the_walk(monkeypatch):
+    model, images, _, _ = _trained_lb_batch()
+    layer_norm, alive = T.layer_norm, []
+
+    def recording_layer_norm(*args):
+        out = layer_norm(*args)
+        alive.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "layer_norm", recording_layer_norm)
+    pooled = image_features(model, images)
+    assert pooled.op == "join_rows"
+    join_backward = pooled._backward  # keeps the join node's closure alive past the walk
+    root = T.sum_(pooled)
+    assert len(alive) == 2 * (2 * model.config.image_layers + 1) and all(ref() is not None for ref in alive)
+    T.backward(root)
+    assert join_backward is not None and not any(ref() is not None for ref in alive)
+    with pytest.raises(GraphError, match="already used by backward"):
+        T.backward(root)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 import inspect
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -720,6 +725,139 @@ def test_backward_refuses_a_consumed_graph():
     np.testing.assert_array_equal(x.grad, first)  # neither refused walk touched a gradient
     T.sum_(T.mul(x, x)).backward()  # a new graph over the same leaf accumulates
     np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+@pytest.fixture
+def split_on(monkeypatch):
+    """``_in_halves`` splits, whatever the cores and the BLAS of this process."""
+    monkeypatch.setattr(T, "_split", True)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["three-parts", "nested"])
+def test_join_rows_gradcheck_with_an_odd_number_of_parts(nested, split_on):
+    # three parts share w: the caller walks the first two, the worker thread
+    # the third; nested, the worker walks a join of the last two on its own
+    for _ in range(N_INSTANCES):
+        arrays = [RNG.uniform(-1, 1, s) for s in ((2, 4), (1, 4), (3, 4), (4, 3), (3,), (3,))]
+        g = RNG.normal(size=(6, 3))
+
+        def build(ts):
+            x0, x1, x2, w, gain, bias = ts
+            parts = [T.matmul(x0, w), T.gelu(T.matmul(x1, w)), T.layer_norm(T.matmul(x2, w), gain, bias)]
+            if nested:
+                parts = [parts[0], T.join_rows(parts[1:])]
+            return _weighted_scalar(T.join_rows(parts), g)
+
+        _gradcheck(build, arrays)
+
+
+class _BlockError(Exception):
+    pass
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller(split_on):
+    def run(half):
+        if half == [1]:
+            raise _BlockError(f"block {half[0]} failed on {threading.current_thread().name}")
+        return half
+
+    with pytest.raises(_BlockError) as exc:
+        T._in_halves(run, [0, 1])
+    assert type(exc.value) is _BlockError and str(exc.value) == "block 1 failed on clipforge-half_0"
+
+    ended = []
+
+    def run_caller_fails(half):
+        if half == [0]:
+            raise _BlockError("block 0 failed")
+        time.sleep(0.05)
+        ended.append(half)
+        return half
+
+    with pytest.raises(_BlockError, match="^block 0 failed$"):
+        T._in_halves(run_caller_fails, [0, 1])
+    assert ended == [[1]]  # the caller's error left only once the worker's half had ended
+
+    x = T.Tensor(RNG.uniform(-1, 1, (2, 3)), requires_grad=True)
+    parts = [T.scale(x, 2.0), T.scale(x, 3.0)]
+    caller = threading.current_thread().name
+
+    def failing(g):
+        raise _BlockError(f"backward of block 1 failed on {threading.current_thread().name}")
+
+    parts[1]._backward = failing
+    with pytest.raises(_BlockError, match="^backward of block 1 failed on clipforge-half_0$"):
+        T.sum_(T.join_rows(parts)).backward()
+    assert caller != "clipforge-half_0" and x.grad is None
+
+
+def test_join_rows_refuses_a_second_walk_and_consumed_parts():
+    x = T.Tensor(RNG.uniform(-1, 1, (2, 3)), requires_grad=True)
+    parts = [T.mul(x, x), T.scale(x, 3.0)]
+    root = T.sum_(T.join_rows(parts))
+    root.backward()
+    np.testing.assert_array_equal(x.grad, 2 * x.data + 3.0)
+    with pytest.raises(GraphError, match="already used by backward"):
+        root.backward()
+    with pytest.raises(GraphError, match="already used by backward"):
+        T.join_rows(parts)  # their graphs were consumed by the walk
+
+
+def test_join_rows_refuses_parts_that_share_an_op_result():
+    x = T.Tensor(RNG.uniform(-1, 1, (2, 3)), requires_grad=True)
+    shared = T.scale(x, 2.0)
+    for parts in ([shared, shared], [T.mul(shared, shared), T.scale(shared, 3.0)]):
+        with pytest.raises(GraphError, match="share an op result"):
+            T.join_rows(parts)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_joins_on_a_worker_of_its_own(split_on):
+    assert T._in_halves(lambda half: [i * 2 for i in half], [1, 2, 3]) == [2, 4, 6]  # the worker runs
+    pid = os.fork()
+    if pid == 0:  # the child has no copy of the parent's worker thread
+        code = 1
+        try:
+            signal.alarm(10)  # a join waiting on a worker that does not exist ends here
+            x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+            T.sum_(T.join_rows([T.scale(x, 2.0), T.mul(x, x)])).backward()
+            code = 0 if np.array_equal(x.grad, 2.0 + 2 * x.data) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_joins_from_several_threads_give_the_serial_bits(split_on):
+    rng = np.random.default_rng(31)
+    xs = [rng.standard_normal((3, 4)).astype(np.float32) for _ in range(4)]
+    w0 = rng.standard_normal((4, 5)).astype(np.float32)
+
+    def weight_grad(joined):
+        w = T.Tensor(w0, requires_grad=True)
+        parts = [T.gelu(T.matmul(T.Tensor(x), w)) for x in xs]
+        for root in [T.join_rows(parts)] if joined else parts:  # serial: summed into .grad in part order
+            T.sum_(root).backward()
+        return w.grad
+
+    reference, results = weight_grad(joined=False), []
+
+    def caller():
+        results.extend(weight_grad(joined=True) for _ in range(10))
+
+    # four callers share the one worker thread, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(results) == 40 and all(np.array_equal(g, reference) for g in results)
 
 
 def _bytes_kept_by(build):
