@@ -13,13 +13,7 @@ from .errors import DimensionError
 MAX_SCALE = 100.0
 
 
-def _as_tensor(value) -> T.Tensor:
-    if isinstance(value, T.Tensor):
-        return value
-    return T.Tensor(np.asarray(value, dtype=np.float32))
-
-
-def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale) -> T.Tensor:
+def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale: T.Tensor) -> T.Tensor:
     """Logits of scaled cosine similarities: image rows against text columns.
 
     The multiplier is exp(logit_scale) clamped to MAX_SCALE; the clamp keeps
@@ -38,7 +32,7 @@ def similarity(image_emb: T.Tensor, text_emb: T.Tensor, logit_scale) -> T.Tensor
         raise DimensionError(
             f"similarity: embedding widths differ, {image_emb.shape[1]} vs {text_emb.shape[1]}"
         )
-    scale = T.clamp_max(T.exp(_as_tensor(logit_scale)), MAX_SCALE)
+    scale = T.clamp_max(T.exp(logit_scale), MAX_SCALE)
     raw = T.matmul(image_emb, T.swap_axes(text_emb, 0, 1))
     return T.mul(raw, scale)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError
-from .model import read_lines, replace_file, write_lines
+from .model import PATCH_SIZE, read_lines, replace_file, write_lines
 
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
@@ -108,7 +108,9 @@ def pixel_batch(records) -> np.ndarray:
     """Stack the records' images as a uint8 [batch, 3, H, W] array.  Records read
     from one pixel file are read through one open; otherwise the first image
     whose shape is not the batch's most common one is refused."""
-    source = getattr(records[0], "pixel_file", None) if records else None  # records may be duck-typed
+    if not records:
+        raise DatasetFormatError("pixel_batch: no records")
+    source = getattr(records[0], "pixel_file", None)  # records may be duck-typed
     if source is not None and all(
         getattr(r, "pixel_file", None) is source and r.pixels is None for r in records
     ):
@@ -248,9 +250,10 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int):
 
 
 def tokenize_batch(texts, vocab: Vocabulary, max_len: int):
-    """Tokenize texts into (ids [n, max_len], valid lengths [n])."""
+    """Tokenize texts into (ids [n, max_len], valid lengths [n]); n may be 0."""
     encoded = [tokenize(text, vocab, max_len) for text in texts]
-    return np.stack([ids for ids, _ in encoded]), np.asarray([n for _, n in encoded])
+    ids = np.stack([row for row, _ in encoded]) if encoded else np.zeros((0, max_len), np.int64)
+    return ids, np.asarray([n for _, n in encoded], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,10 @@ def generate_synthetic_corpus(
     """
     if n_languages < 1:
         raise ConfigError(f"corpus: n_languages must be >= 1, got {n_languages}")
-    if image_size < 8:
-        raise ConfigError(f"corpus: image_size must be >= 8, got {image_size}")
+    if image_size < PATCH_SIZE or image_size % PATCH_SIZE:
+        raise ConfigError(
+            f"corpus: image_size must be a positive multiple of the patch size {PATCH_SIZE}, got {image_size}"
+        )
     languages = [BASE_LANGUAGE] + [cipher_code(i) for i in range(1, n_languages)]
     ciphers = {
         cipher_code(i): _cipher_map(seed, i) for i in range(1, n_languages)

@@ -335,13 +335,13 @@ class BaselineTable:
                 out[metric] = float(np.mean(values))
         return out
 
-    def average_discrepancies(self, tolerance: float = AVERAGE_TOLERANCE) -> dict:
+    def average_discrepancies(self) -> dict:
         """Stored-average cells that disagree with the recomputed mean."""
         recomputed = self.recompute_average()
         return {
             metric: abs(recomputed[metric] - stored)
             for metric, stored in self.average.items()
-            if metric in recomputed and abs(recomputed[metric] - stored) > tolerance
+            if metric in recomputed and abs(recomputed[metric] - stored) > AVERAGE_TOLERANCE
         }
 
 

@@ -34,6 +34,8 @@ from .errors import (
 )
 
 CHANNELS = 3
+PATCH_SIZE = 8  # pixels per side of an image patch
+EMBED_DIM = 64  # width of the shared embedding space
 MLP_RATIO = 4
 INIT_STD = 0.02
 LOGIT_SCALE_INIT = math.log(1.0 / 0.07)  # ~2.659
@@ -41,8 +43,9 @@ LOGIT_SCALE_INIT = math.log(1.0 / 0.07)  # ~2.659
 # array (512 x 4 * 128 float32) is 1 MiB and stays in a core's 2 MiB L2, where
 # a batch-wide one (8 MiB at 256 images) streams through memory and is paged
 # in afresh by every op. A pass that records no graph runs its blocks one by
-# one; a tower that trains runs them through tensor._joined_blocks, whose
-# module docstring says which thread runs which block
+# one; a tower that trains runs them through tensor._in_halves and joins them
+# with tensor.join_rows (the tensor module docstring says which thread runs
+# which block)
 ROW_BLOCK = 512
 
 # preset name -> (layers, width, heads) per tower
@@ -107,19 +110,13 @@ class ModelConfig:
         return side * side
 
     @staticmethod
-    def from_presets(
-        pair: str,
-        vocab_size: int,
-        max_text_len: int,
-        image_size: int = 32,
-        patch_size: int = 8,
-        embed_dim: int = 64,
-    ) -> "ModelConfig":
-        """Build a config from a preset pair (see ``preset_pair``)."""
+    def from_presets(pair: str, vocab_size: int, max_text_len: int, image_size: int = 32) -> "ModelConfig":
+        """Build a config from a preset pair (see ``preset_pair``), with
+        ``PATCH_SIZE`` and ``EMBED_DIM``."""
         (il, idim, ih), (tl, tdim, th) = preset_pair(pair)
         return ModelConfig(
             image_size=image_size,
-            patch_size=patch_size,
+            patch_size=PATCH_SIZE,
             image_layers=il,
             image_heads=ih,
             image_dim=idim,
@@ -128,7 +125,7 @@ class ModelConfig:
             text_dim=tdim,
             vocab_size=vocab_size,
             max_text_len=max_text_len,
-            embed_dim=embed_dim,
+            embed_dim=EMBED_DIM,
         )
 
 
@@ -253,8 +250,9 @@ def _pooled_in_blocks(model: DualEncoderModel, tower: str, items: int, rows_per_
     pooled row depends only on its own item, so their concatenation is
     bitwise the one-call result. A tower that does not train runs the blocks
     one by one on the calling thread and keeps only their rows; one that
-    trains joins them in ``T._joined_blocks``, on one or two threads (see the
-    tensor module docstring).
+    trains joins them with ``T.join_rows``, their forwards and backwards split
+    by ``T._in_halves`` over one or two threads (see the tensor module
+    docstring).
     """
     if items * rows_per_item <= ROW_BLOCK:
         return forward(0, items)
@@ -263,7 +261,7 @@ def _pooled_in_blocks(model: DualEncoderModel, tower: str, items: int, rows_per_
     if not trains(model, tower):
         rows = np.concatenate([forward(a, b).data for a, b in bounds])
         return T.Tensor(rows, dtype=rows.dtype)
-    return T._joined_blocks(forward, bounds)
+    return T.join_rows(T._in_halves(lambda half: [forward(a, b) for a, b in half], bounds))
 
 
 def _image_tower(model: DualEncoderModel, raw: np.ndarray) -> T.Tensor:

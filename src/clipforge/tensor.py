@@ -20,19 +20,20 @@ Broadcasting is restricted: in binary ops the second operand's shape must
 equal a trailing suffix of the first operand's shape. Anything else needs
 an explicit reshape.
 
-Row blocks on two threads: ``_joined_blocks`` runs a tower's row blocks and
-joins their pooled rows with ``join_rows``, each block the root of a graph of
-its own. Where the process may use two or more cores and numpy's bundled
-OpenBLAS can be set to one thread, the calling thread runs the first half of
-the blocks, forward and backward, and one worker thread, started by the first
-such pass, runs the second half; that first pass also sets OpenBLAS to one
-thread for the rest of the process, so the two halves and BLAS's own threads
-do not contend for the cores. Anywhere else the blocks run one after another
-on the calling thread. Each block runs its ops on one thread, in the order a
-serial run uses, and ``join_rows`` sums each leaf's gradient over the blocks
-in block order on the caller, so no result depends on the thread schedule,
-the core count or the BLAS thread count. A process forked after the worker
-started has no copy of it, and decides and starts anew on its first split.
+Row blocks on two threads: a trained tower runs its row blocks through
+``_in_halves`` and joins their pooled rows with ``join_rows``, each block the
+root of a graph of its own. Where the process may use two or more cores and
+numpy's bundled OpenBLAS can be set to one thread, the calling thread runs the
+first half of the blocks, forward and backward, and one worker thread, started
+by the first such pass, runs the second half; that first pass also sets
+OpenBLAS to one thread for the rest of the process, so the two halves and
+BLAS's own threads do not contend for the cores. Anywhere else the blocks run
+one after another on the calling thread. Each block runs its ops on one
+thread, in the order a serial run uses, and ``join_rows`` sums each leaf's
+gradient over the blocks in block order on the caller, so no result depends on
+the thread schedule, the core count or the BLAS thread count. A process forked
+after the worker started has no copy of it, and decides and starts anew on its
+first split.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# elements per gelu block: the forward's two slices and one scratch block, and
-# the backward's three or four slices and three or four scratch blocks, stay in
-# a core's L2 across their passes instead of streaming from memory
+_LAYER_NORM_EPS = 1e-5  # added to the variance
+_L2_EPS = 1e-12  # the least norm a row is divided by
+# elements per gelu block: the forward's slice and one scratch block, and the
+# backward's two slices and three or four scratch blocks, stay in a core's L2
+# across their passes instead of streaming from memory
 _GELU_BLOCK = 1 << 15
 
 
@@ -255,7 +258,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Optional[Tensor], w2: Tensor, b2: Optional[Te
         return h
 
     act = fc1()
-    out = _gelu_into(act, act) @ w2.data
+    out = _gelu_into(act) @ w2.data
     del act
     if b2 is not None:
         out += b2.data
@@ -268,9 +271,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Optional[Tensor], w2: Tensor, b2: Optional[Te
         act = fc1() if hidden_grad or w2.requires_grad else None
         gh = g2 @ w2.data.T if hidden_grad else None
         if gh is not None:
-            _gelu_grad_into(act, gh, gh, act if w2.requires_grad else None)
+            _gelu_grad_into(act, gh, w2.requires_grad)
         elif act is not None:
-            _gelu_into(act, act)
+            _gelu_into(act)
         gw2 = act.T @ g2 if w2.requires_grad else None
         del act
         grads = [
@@ -328,11 +331,12 @@ def narrow_rows(a: Tensor, n: int) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, computed in place in the textbook formulas' order: bitwise equal.
 
-    The node keeps only its input: the backward recomputes each block's tanh."""
-    out = _gelu_into(a.data, np.empty(a.shape, a.dtype))
+    The node keeps only its input: the backward recomputes each block's tanh.
+    The helpers work in place, so each pass runs on C-contiguous copies."""
+    out = _gelu_into(a.data.copy())
 
     def bwd(g):
-        return (_gelu_grad_into(a.data, g, np.empty(a.shape, a.dtype)),)
+        return (_gelu_grad_into(a.data.copy(), g.astype(a.dtype, order="C"), False),)
 
     return _result(out, (a,), bwd, "gelu")
 
@@ -341,28 +345,26 @@ def gelu(a: Tensor) -> Tensor:
 # every element still sees the same operations in the same order
 
 
-def _gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """gelu(x) = 0.5 * x * (1 + t) into out, a C-contiguous array of x's shape
-    and dtype, which may be x itself."""
-    xf, of = x.reshape(-1), out.reshape(-1)
+def _gelu_into(x: np.ndarray) -> np.ndarray:
+    """gelu(x) = 0.5 * x * (1 + t) in place in x, a C-contiguous array."""
+    xf = x.reshape(-1)
     scratch = np.empty(min(xf.size, _GELU_BLOCK), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
-        xs, ys = xf[i : i + _GELU_BLOCK], of[i : i + _GELU_BLOCK]
+        xs = xf[i : i + _GELU_BLOCK]
         ts = _gelu_tanh(xs, scratch[: xs.size])
-        np.multiply(xs, 0.5, out=ys)  # x is read for the last time
+        xs *= 0.5  # x is read for the last time
         ts += 1.0
-        ys *= ts
-    return out
+        xs *= ts
+    return x
 
 
-def _gelu_grad_into(x: np.ndarray, g: np.ndarray, out: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-    """g * gelu'(x) into out, which may be g itself; with y, also gelu(x) into y
-    from the same tanh. y may be x itself: a fourth scratch block holds each
-    block's gelu(x) until the block's last read of x. out and y are
-    C-contiguous arrays of x's shape and dtype."""
-    xf, gf, of = x.reshape(-1), g.reshape(-1), out.reshape(-1)
-    yf = None if y is None else y.reshape(-1)
-    scratch = np.empty((4 if y is x else 3, min(xf.size, _GELU_BLOCK)), x.dtype)
+def _gelu_grad_into(x: np.ndarray, g: np.ndarray, keep_gelu: bool) -> np.ndarray:
+    """g * gelu'(x) in place in g; with keep_gelu, also gelu(x) in place in x,
+    from the same tanh: a fourth scratch block holds each block's gelu(x)
+    until the block's last read of x. x and g are C-contiguous arrays of one
+    shape and dtype."""
+    xf, gf = x.reshape(-1), g.reshape(-1)
+    scratch = np.empty((4 if keep_gelu else 3, min(xf.size, _GELU_BLOCK)), x.dtype)
     for i in range(0, xf.size, _GELU_BLOCK):
         block = slice(i, i + _GELU_BLOCK)
         xs = xf[block]
@@ -371,21 +373,20 @@ def _gelu_grad_into(x: np.ndarray, g: np.ndarray, out: np.ndarray, y: Optional[n
         np.subtract(1.0, di, out=di)
         np.multiply(xs, 0.5, out=sl)
         ts += 1.0  # t is read for the last time
-        if yf is not None:
-            ys = scratch[3, : xs.size] if y is x else yf[block]
-            np.multiply(sl, ts, out=ys)
+        if keep_gelu:
+            ys = np.multiply(sl, ts, out=scratch[3, : xs.size])
         sl *= di
         ts *= 0.5
         np.multiply(xs, 3 * 0.044715, out=di)  # the derivative of the tanh argument
         di *= xs  # x is read for the last time
-        if y is x:
-            yf[block] = ys
+        if keep_gelu:
+            xs[...] = ys
         di += 1.0
         di *= _GELU_C
         sl *= di
         ts += sl
-        np.multiply(ts, gf[block], out=of[block])
-    return out
+        np.multiply(ts, gf[block], out=gf[block])
+    return g
 
 
 def _gelu_tanh(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -464,7 +465,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(out, (table,), bwd, "embedding")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -477,7 +478,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = np.subtract(x.data, mu)
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(_LAYER_NORM_EPS, dtype=x.dtype))
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
@@ -604,10 +605,10 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
     return _result(out, (x,), bwd, "masked_mean")
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row (last axis) to unit L2 norm."""
     norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    norm = np.maximum(norm, np.asarray(eps, dtype=x.dtype))
+    norm = np.maximum(norm, np.asarray(_L2_EPS, dtype=x.dtype))
     out = x.data / norm
 
     def bwd(g):
@@ -647,12 +648,6 @@ _split: Optional[bool] = None  # whether _in_halves splits; its first split deci
 _worker = None  # the ThreadPoolExecutor of _in_halves
 _worker_ident: Optional[int] = None
 _worker_lock = threading.Lock()
-
-
-def _joined_blocks(forward: Callable[[int, int], Tensor], bounds: list) -> Tensor:
-    """``join_rows`` of ``forward(a, b)`` for every ``(a, b)`` in ``bounds``,
-    the blocks split by ``_in_halves``."""
-    return join_rows(_in_halves(lambda half: [forward(a, b) for a, b in half], bounds))
 
 
 def _in_halves(run: Callable[[list], list], items: list) -> list:

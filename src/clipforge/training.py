@@ -50,6 +50,17 @@ EFFECTIVE_CONFIG = "config.effective"
 FEATURE_DIR = "image_features"  # in the dataset directory: derived files, safe to delete
 
 
+# integer field -> (least value, why)
+_INT_FIELDS = {
+    "batch_size": (2, " (the loss needs in-batch negatives)"),
+    "epochs": (1, ""),
+    "warmup_steps": (0, ""),
+    "data_seed": (0, ""),
+    "init_seed": (0, ""),
+    "sampler_seed": (0, ""),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset_dir: str = ""
@@ -80,19 +91,10 @@ class RunConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.batch_size < 2:
-            raise ConfigError(
-                f"batch_size must be >= 2 (the loss needs in-batch negatives),"
-                f" got {self.batch_size}"
-            )
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.warmup_steps < 0:
-            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        for name in ("data_seed", "init_seed", "sampler_seed"):
+        for name, (least, why) in _INT_FIELDS.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}{why}, got {value!r}")
 
     def resolved(self) -> "RunConfig":
         """Absolute-path copy; all paths are fixed before the run starts."""
@@ -107,12 +109,7 @@ class RunConfig:
 _FIELD_PARSERS = {
     "lr": float,
     "weight_decay": float,
-    "batch_size": int,
-    "epochs": int,
-    "warmup_steps": int,
-    "data_seed": int,
-    "init_seed": int,
-    "sampler_seed": int,
+    **dict.fromkeys(_INT_FIELDS, int),
     "languages": lambda s: tuple(part for part in s.split(",") if part),
 }
 

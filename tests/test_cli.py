@@ -108,6 +108,19 @@ def test_a_refused_datagen_force_keeps_the_old_dataset(dataset_dir, tmp_path, ca
     assert tree_digest(data) == before
 
 
+def test_datagen_refuses_an_image_size_off_the_patch_grid(dataset_dir, tmp_path, capsys):
+    # a dataset of 12-pixel images could not be trained: 12 is no multiple of the patch size 8
+    fresh = tmp_path / "fresh"
+    code, _, err = run(capsys, "datagen", "--output", str(fresh), "--images", "10", "--image-size", "12")
+    assert code == 1 and err == "E_CONFIG: corpus: image_size must be a positive multiple of the patch size 8, got 12\n"
+    assert not fresh.exists()
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    before = tree_digest(data)
+    code, _, err = run(capsys, "datagen", "--output", str(data), "--images", "10", "--image-size", "12", "--force")
+    assert code == 1 and err.startswith("E_CONFIG: ") and len(err.splitlines()) == 1
+    assert tree_digest(data) == before
+
+
 def test_datagen_to_an_output_under_a_regular_file_is_refused_in_one_line(tmp_path, capsys):
     (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
     out = (tmp_path / "file" / "ds").resolve()

@@ -24,13 +24,13 @@ def _unit_rows(n, d, rng=RNG, dtype=np.float32):
 
 def test_identical_embeddings_unit_diagonal():
     e = T.Tensor(_unit_rows(5, 8))
-    sim = similarity(e, e, 0.0)
+    sim = similarity(e, e, T.Tensor(0.0))
     np.testing.assert_allclose(np.diag(sim.data), 1.0, atol=1e-5)
 
 
 def test_orthogonal_rows_zero_off_diagonal():
     e = T.Tensor(np.eye(4, 6, dtype=np.float32))
-    sim = similarity(e, e, math.log(3.0))
+    sim = similarity(e, e, T.Tensor(math.log(3.0)))
     off = sim.data[~np.eye(4, dtype=bool)]
     np.testing.assert_allclose(off, 0.0, atol=1e-6)
     np.testing.assert_allclose(np.diag(sim.data), 3.0, rtol=1e-5)
@@ -38,27 +38,27 @@ def test_orthogonal_rows_zero_off_diagonal():
 
 def test_scale_bound_at_reference_temperature():
     img = T.Tensor(_unit_rows(16, 12))
-    sim = similarity(img, T.Tensor(_unit_rows(16, 12)), 2.659)
-    assert np.diag(similarity(img, img, 2.659).data).max() <= 14.29  # the scale itself
+    sim = similarity(img, T.Tensor(_unit_rows(16, 12)), T.Tensor(2.659))
+    assert np.diag(similarity(img, img, T.Tensor(2.659)).data).max() <= 14.29  # the scale itself
     assert np.abs(sim.data).max() <= 14.29
 
 
 def test_scale_clamped_at_ceiling():
     e = T.Tensor(_unit_rows(3, 4))
-    sim = similarity(e, e, math.log(1000.0))
+    sim = similarity(e, e, T.Tensor(math.log(1000.0)))
     np.testing.assert_allclose(np.diag(sim.data), MAX_SCALE, rtol=1e-6)
     assert np.abs(sim.data).max() <= MAX_SCALE + 1e-4
 
 
 def test_similarity_row_count_mismatch():
     with pytest.raises(DimensionError) as exc:
-        similarity(T.Tensor(_unit_rows(3, 4)), T.Tensor(_unit_rows(5, 4)), 0.0)
+        similarity(T.Tensor(_unit_rows(3, 4)), T.Tensor(_unit_rows(5, 4)), T.Tensor(0.0))
     assert "3" in str(exc.value) and "5" in str(exc.value)
 
 
 def test_similarity_width_mismatch():
     with pytest.raises(DimensionError):
-        similarity(T.Tensor(_unit_rows(3, 4)), T.Tensor(_unit_rows(3, 6)), 0.0)
+        similarity(T.Tensor(_unit_rows(3, 4)), T.Tensor(_unit_rows(3, 6)), T.Tensor(0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,9 +73,9 @@ def test_logit_magnitude_bounded_by_scale(n, d, seed, log_scale):
     img = T.Tensor(_unit_rows(n, d, rng))
     txt = T.Tensor(_unit_rows(n, d, rng))
     scale = min(math.exp(log_scale), MAX_SCALE)
-    assert np.abs(similarity(img, txt, log_scale).data).max() <= scale + 1e-4
+    assert np.abs(similarity(img, txt, T.Tensor(log_scale)).data).max() <= scale + 1e-4
     # unit rows against themselves put the scale on the diagonal
-    np.testing.assert_allclose(np.diag(similarity(img, img, log_scale).data), scale, rtol=1e-6)
+    np.testing.assert_allclose(np.diag(similarity(img, img, T.Tensor(log_scale)).data), scale, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_non_square_logits_rejected():
 
 def test_accepts_similarity_matrix():
     e = T.Tensor(_unit_rows(4, 8))
-    loss = clip_loss(similarity(e, e, 2.0))
+    loss = clip_loss(similarity(e, e, T.Tensor(2.0)))
     assert loss.shape == ()
     assert np.isfinite(loss.data)
 
@@ -123,7 +123,7 @@ def test_random_unit_embeddings_near_log_batch():
     n = 64
     img = T.Tensor(_unit_rows(n, 32))
     txt = T.Tensor(_unit_rows(n, 32))
-    loss = float(clip_loss(similarity(img, txt, 0.0)).data)
+    loss = float(clip_loss(similarity(img, txt, T.Tensor(0.0))).data)
     assert abs(loss - math.log(n)) < 0.1 * math.log(n)
 
 
@@ -131,10 +131,10 @@ def test_joint_permutation_invariance():
     n = 8
     img = _unit_rows(n, 16)
     txt = _unit_rows(n, 16)
-    base = float(clip_loss(similarity(T.Tensor(img), T.Tensor(txt), 1.5)).data)
+    base = float(clip_loss(similarity(T.Tensor(img), T.Tensor(txt), T.Tensor(1.5))).data)
     perm = RNG.permutation(n)
     permuted = float(
-        clip_loss(similarity(T.Tensor(img[perm]), T.Tensor(txt[perm]), 1.5)).data
+        clip_loss(similarity(T.Tensor(img[perm]), T.Tensor(txt[perm]), T.Tensor(1.5))).data
     )
     assert permuted == pytest.approx(base, rel=1e-6)
 

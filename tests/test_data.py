@@ -33,6 +33,7 @@ from clipforge.data import (
     save_split,
     split,
     tokenize,
+    tokenize_batch,
 )
 from clipforge.errors import ConfigError, DatasetFormatError
 
@@ -205,6 +206,13 @@ def test_tokenize_unknown_and_case():
 def test_tokenize_min_length_validated():
     with pytest.raises(ConfigError):
         tokenize("x", small_vocab(), 2)
+
+
+def test_tokenize_batch_of_no_texts_is_empty():
+    ids, lengths = tokenize_batch([], small_vocab(), 6)
+    one_ids, one_lengths = tokenize_batch(["red"], small_vocab(), 6)
+    assert ids.shape == (0, 6) and ids.dtype == one_ids.dtype
+    assert lengths.shape == (0,) and lengths.dtype == one_lengths.dtype
 
 
 def test_vocabulary_reserved_and_dense():
@@ -649,6 +657,11 @@ def test_pixel_batch_names_the_record_of_another_shape(odd):
     with pytest.raises(DatasetFormatError, match=rf"^record r{odd}: pixel array of shape \(4, 4, 3\)"):
         pixel_batch(records)
     assert pixel_batch(records[odd + 1 :]).shape == (3 - odd, 3, 8, 8)
+
+
+def test_pixel_batch_refuses_no_records():
+    with pytest.raises(DatasetFormatError, match=r"^pixel_batch: no records$"):
+        pixel_batch([])
 
 
 def test_split_file_roundtrip(tmp_path):

@@ -522,21 +522,24 @@ def test_gelu_blocks_bitwise_equal_one_pass(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_helpers_in_place_bitwise_equal_separate_buffers(dtype):
-    # over two blocks plus a ragged tail
+def test_gelu_helpers_in_place_bitwise_equal_textbook_formulas(dtype):
+    # over two blocks plus a ragged tail; the gradient helper with and without
+    # leaving gelu(x) in x
     rng = np.random.default_rng(41)
     x = (rng.standard_normal(2 * T._GELU_BLOCK + 77) * 3).astype(dtype)
     g = rng.standard_normal(x.shape).astype(dtype)
-    y, grad = np.empty_like(x), np.empty_like(x)
-    T._gelu_grad_into(x, g, grad, y)
-    forward = T._gelu_into(x, np.empty_like(x))
-    assert np.array_equal(forward, y)
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    forward = 0.5 * x * (1.0 + t)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * x * x))
 
     inplace = x.copy()
-    assert T._gelu_into(inplace, inplace) is inplace and np.array_equal(inplace, forward)
-    inplace, grad_inplace = x.copy(), g.copy()
-    T._gelu_grad_into(inplace, grad_inplace, grad_inplace, inplace)  # out is g, y is x
-    assert np.array_equal(grad_inplace, grad) and np.array_equal(inplace, y)
+    assert T._gelu_into(inplace) is inplace and np.array_equal(inplace, forward)
+    for keep_gelu in (False, True):
+        inplace, grad = x.copy(), g.copy()
+        assert T._gelu_grad_into(inplace, grad, keep_gelu) is grad
+        assert np.array_equal(grad, g * local)
+        assert np.array_equal(inplace, forward if keep_gelu else x)
 
 
 def test_exp_clamp_gradcheck():

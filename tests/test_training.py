@@ -112,6 +112,18 @@ def test_config_validation():
         RunConfig(**good, sampler_seed=-2)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", 4.0), ("epochs", 1.5), ("warmup_steps", 3.0), ("data_seed", True), ("init_seed", 0.0),
+     ("sampler_seed", False)],
+)
+def test_integer_fields_refuse_floats_and_bools_before_any_write(dataset_dir, tmp_path, field, value):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=rf"^{field} must be an int >= \d.*, got {value!r}$"):
+        run_training(tiny_config(dataset_dir, out, **{field: value}))
+    assert not out.exists()
+
+
 def test_single_letter_preset_accepted():
     RunConfig(dataset_dir="d", output_dir="o", preset="h")
 
