@@ -11,9 +11,11 @@ exactly equally.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from .model import PATCH_SIZE, read_lines, replace_file, write_lines
 MANIFEST_NAME = "manifest.tsv"
 SPLIT_NAME = "splits.tsv"
 PIXEL_FILE = "pixels.rgb"
+PIXEL_MAGIC = b"CFPX"
+PIXEL_HEADER = struct.Struct("<4sI")  # the pixel file's first bytes: PIXEL_MAGIC and the image side S
 OLD_LAYOUT = ("{}: a dataset of the old layout, one pixel file per image under pixels/;"
               " run clipforge datagen again")  # its marks: a "pixels" header cell, a pixels/ directory
 
@@ -58,8 +62,8 @@ BACKGROUND_DIV = 4  # background is the fill color dimmed by this factor
 
 @dataclass(frozen=True)
 class PixelFile:
-    """A dataset's pixel file as ``load_dataset`` found it: ``count`` uint8
-    [side, side, 3] images back to back."""
+    """A dataset's pixel file as ``load_dataset`` found it: a ``PIXEL_HEADER``,
+    then ``count`` uint8 [side, side, 3] images back to back."""
 
     path: Path
     count: int
@@ -70,16 +74,17 @@ class PixelFile:
         one open.  A file whose size is no longer the one loaded is refused."""
         images = np.empty((len(slots), self.side, self.side, 3), dtype=np.uint8)
         nbytes = self.side * self.side * 3
+        loaded = PIXEL_HEADER.size + self.count * nbytes
         try:
             with open(self.path, "rb", buffering=0) as fh:
                 size = os.fstat(fh.fileno()).st_size
-                if size != self.count * nbytes:
+                if size != loaded:
                     raise DatasetFormatError(
-                        f"pixel file {self.path}: {size} bytes, not the {self.count * nbytes}"
+                        f"pixel file {self.path}: {size} bytes, not the {loaded}"
                         " it held when the dataset was loaded"
                     )
                 for image, slot in zip(images, slots):
-                    fh.seek(slot * nbytes)
+                    fh.seek(PIXEL_HEADER.size + slot * nbytes)
                     if fh.readinto(image) != nbytes:  # no slot lies past the checked size
                         raise DatasetFormatError(f"pixel file {self.path}: no image at slot {slot}")
         except OSError as exc:
@@ -363,29 +368,22 @@ def generate_synthetic_corpus(
 # on-disk format
 # ---------------------------------------------------------------------------
 
-def pixel_shape(nbytes: int, where: str) -> tuple:
-    """Shape (S, S, 3) of an image of ``nbytes`` bytes: the raw bytes of a uint8 [S, S, 3] array."""
-    if nbytes % 3:
-        raise DatasetFormatError(f"{where}: size {nbytes} is not a multiple of 3")
-    side = math.isqrt(nbytes // 3)
-    if side * side * 3 != nbytes:
-        raise DatasetFormatError(f"{where}: {nbytes} bytes is not a square RGB image")
-    return (side, side, 3)
-
-
 def open_pixel_file(path, count: int) -> PixelFile:
-    """The pixel file of ``count`` records; one square image size must fit its byte count."""
+    """The pixel file of ``count`` records: its header's image side must fit its byte count."""
     try:
-        size = Path(path).stat().st_size
+        with open(path, "rb") as fh:
+            header = fh.read(PIXEL_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
     except OSError as exc:
         raise DatasetFormatError(f"cannot read pixel file {path}: {exc.strerror}") from exc
-    per_image, rest = divmod(size, count) if count else (0, size)
-    if rest:
+    if len(header) != PIXEL_HEADER.size or not header.startswith(PIXEL_MAGIC):
+        raise DatasetFormatError(f"pixel file {path}: no pixel file header; run clipforge datagen again")
+    side = PIXEL_HEADER.unpack(header)[1]
+    if size != PIXEL_HEADER.size + count * 3 * side * side:
         raise DatasetFormatError(
-            f"pixel file {path}: {size} bytes do not split into {count} equal images,"
-            " one per manifest record"
+            f"pixel file {path}: {size} bytes do not split into {count} equal images of {side}x{side},"
+            f" one per manifest record, after its {PIXEL_HEADER.size}-byte header"
         )
-    side = pixel_shape(per_image, f"pixel file {path} ({count} images)")[0]
     return PixelFile(Path(path), count, side)
 
 
@@ -458,13 +456,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     shape = None
     for record in dataset.records:
         pixels, where = np.asarray(record.get_pixels()), f"record {record.id!r}: pixel array"
-        if pixels.dtype != np.uint8 or pixels.shape != pixel_shape(pixels.nbytes, where):
+        if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[1:] != (pixels.shape[0], 3):
             raise DatasetFormatError(f"{where} of {pixels.dtype} {pixels.shape} is not uint8 [S, S, 3]")
         shape = shape or pixels.shape
         if pixels.shape != shape:  # the pixel file holds one image size
             raise DatasetFormatError(f"{where} of {pixels.shape}, where the first record's is {shape}")
     root.mkdir(parents=True, exist_ok=True)
-    replace_file(root / PIXEL_FILE, (np.ascontiguousarray(r.get_pixels()) for r in dataset.records))
+    header = PIXEL_HEADER.pack(PIXEL_MAGIC, shape[0] if shape else 0)
+    images = (np.ascontiguousarray(r.get_pixels()) for r in dataset.records)
+    replace_file(root / PIXEL_FILE, itertools.chain([header], images))
     write_lines(root / MANIFEST_NAME, ["\t".join(row) for row in rows])
 
 

@@ -22,18 +22,17 @@ an explicit reshape.
 
 Row blocks on two threads: a trained tower runs its row blocks through
 ``_in_halves`` and joins their pooled rows with ``join_rows``, each block the
-root of a graph of its own. Where the process may use two or more cores and
-numpy's bundled OpenBLAS can be set to one thread, the calling thread runs the
-first half of the blocks, forward and backward, and one worker thread, started
-by the first such pass, runs the second half; that first pass also sets
-OpenBLAS to one thread for the rest of the process, so the two halves and
-BLAS's own threads do not contend for the cores. Anywhere else the blocks run
-one after another on the calling thread. Each block runs its ops on one
+root of a graph of its own. The first call with two or more blocks decides
+whether they split: they do where the process may use two or more cores and
+numpy's bundled OpenBLAS can be set to one thread, and that call sets it so
+for the rest of the process, so the two halves and BLAS's own threads do not
+contend for the cores. Split, the calling thread runs the first half of the
+blocks, forward and backward, and a thread started for that call runs the
+second half and has ended before the call returns. Anywhere else the blocks
+run one after another on the calling thread. Each block runs its ops on one
 thread, in the order a serial run uses, and ``join_rows`` sums each leaf's
 gradient over the blocks in block order on the caller, so no result depends on
-the thread schedule, the core count or the BLAS thread count. A process forked
-after the worker started has no copy of it, and decides and starts anew on its
-first split.
+the thread schedule, the core count or the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -645,40 +644,37 @@ def join_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 _split: Optional[bool] = None  # whether _in_halves splits; its first split decides
-_worker = None  # the ThreadPoolExecutor of _in_halves
-_worker_ident: Optional[int] = None
-_worker_lock = threading.Lock()
 
 
 def _in_halves(run: Callable[[list], list], items: list) -> list:
     """``run(items[:h]) + run(items[h:])`` with h = ceil(len(items) / 2): the
-    first half on the calling thread, the second on the one worker thread, or
-    ``run(items)`` on the calling thread where the split is off (see the module
-    docstring). A call made on the worker itself (a join inside a worker's
-    block) runs both halves there. An error in the worker's half is raised here
-    as it was raised there, once both halves have ended."""
-    global _split, _worker, _worker_ident
-    if len(items) < 2 or threading.get_ident() == _worker_ident:
-        return run(items)
-    with _worker_lock:
-        if _split is None:
-            _split = _usable_cores() >= 2 and _one_blas_thread()
-        if _split and _worker is None:
-            # imported here: it imports logging, 0.8 MB of RSS a graph-free process never needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="clipforge-half")
-            _worker_ident = _worker.submit(threading.get_ident).result()
-    if not _split:
+    first half on the calling thread and the second on a thread started for
+    it, or ``run(items)`` on the calling thread where the split is off (see the
+    module docstring). That thread has ended before this returns or raises; an
+    error in its half is raised here as it was raised there."""
+    global _split
+    if _split is None and len(items) >= 2:
+        _split = _usable_cores() >= 2 and _one_blas_thread()
+    if len(items) < 2 or not _split:
         return run(items)
     h = (len(items) + 1) // 2
-    theirs = _worker.submit(run, items[h:])
+    theirs: dict = {}
+
+    def second_half():
+        try:
+            theirs["rows"] = run(items[h:])
+        except BaseException as error:  # raised on the calling thread below
+            theirs["error"] = error
+
+    thread = threading.Thread(target=second_half, name="clipforge-half")
+    thread.start()
     try:
         mine = run(items[:h])
-    except BaseException:
-        theirs.exception()  # the worker's half ends before this error leaves
-        raise
-    return mine + theirs.result()
+    finally:
+        thread.join()
+    if "error" in theirs:
+        raise theirs["error"]
+    return mine + theirs["rows"]
 
 
 def _usable_cores() -> int:
@@ -708,16 +704,6 @@ def _one_blas_thread() -> bool:
                     set_threads(1)
                     return get_threads() == 1
     return False
-
-
-def _forget_worker() -> None:
-    # a forked child has no copy of the worker thread: its first split decides and starts anew
-    global _split, _worker, _worker_ident, _worker_lock
-    _split, _worker, _worker_ident, _worker_lock = None, None, None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,21 @@ EFFECTIVE_CONFIG = "config.effective"
 FEATURE_DIR = "image_features"  # in the dataset directory: derived files, safe to delete
 
 
-# integer field -> (least value, why)
-_INT_FIELDS = {
-    "batch_size": (2, " (the loss needs in-batch negatives)"),
-    "epochs": (1, ""),
-    "warmup_steps": (0, ""),
-    "data_seed": (0, ""),
-    "init_seed": (0, ""),
-    "sampler_seed": (0, ""),
+# a field type: (its name in a refusal, whether a value has it, the parser of its text)
+_STR = ("a str", lambda value: isinstance(value, str), str)
+_INT = ("an int", lambda value: isinstance(value, int) and not isinstance(value, bool), int)
+_NUMBER = ("a number", lambda value: isinstance(value, (int, float)) and not isinstance(value, bool), float)
+_STRS = ("a tuple of str", lambda value: isinstance(value, tuple) and all(isinstance(p, str) for p in value),
+         lambda text: tuple(part for part in text.split(",") if part))
+
+# field -> (its type, and for an int field its least value and why)
+_FIELD_TYPES = {
+    **dict.fromkeys(("dataset_dir", "output_dir", "preset", "regime", "optimizer", "init_from"), (_STR,)),
+    **dict.fromkeys(("lr", "weight_decay"), (_NUMBER,)),
+    "batch_size": (_INT, 2, " (the loss needs in-batch negatives)"),
+    "epochs": (_INT, 1, ""),
+    **dict.fromkeys(("warmup_steps", "data_seed", "init_seed", "sampler_seed"), (_INT, 0, "")),
+    "languages": (_STRS,),
 }
 
 
@@ -80,6 +87,11 @@ class RunConfig:
     init_from: str = ""
 
     def __post_init__(self):
+        for name, ((kind, has_type, _), *least) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not has_type(value) or (least and value < least[0]):
+                bound = f" >= {least[0]}{least[1]}" if least else ""
+                raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
         M.preset_pair(self.preset)
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
@@ -91,10 +103,6 @@ class RunConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        for name, (least, why) in _INT_FIELDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ConfigError(f"{name} must be an int >= {least}{why}, got {value!r}")
 
     def resolved(self) -> "RunConfig":
         """Absolute-path copy; all paths are fixed before the run starts."""
@@ -106,21 +114,11 @@ class RunConfig:
         )
 
 
-_FIELD_PARSERS = {
-    "lr": float,
-    "weight_decay": float,
-    **dict.fromkeys(_INT_FIELDS, int),
-    "languages": lambda s: tuple(part for part in s.split(",") if part),
-}
-
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
-
-
 def coerce_field(name: str, text: str):
     """Parse one key=value assignment into a RunConfig field value."""
-    if name not in _FIELD_NAMES:
-        raise ConfigError(f"unknown config key {name!r}; known keys: {sorted(_FIELD_NAMES)}")
-    parser = _FIELD_PARSERS.get(name, str)
+    if name not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {name!r}; known keys: {sorted(_FIELD_TYPES)}")
+    (_, _, parser), *_ = _FIELD_TYPES[name]
     try:
         return parser(text)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -10,6 +11,8 @@ from clipforge import cli, errors
 from clipforge.data import (
     MANIFEST_NAME,
     PIXEL_FILE,
+    PIXEL_HEADER,
+    PIXEL_MAGIC,
     SPLIT_NAME,
     Vocabulary,
     load_dataset,
@@ -429,7 +432,8 @@ def test_eval_caption_mode_flag_is_refused(run_dir, dataset_dir, tmp_path, capsy
 
 def test_eval_of_records_of_another_image_size_is_refused(run_dir, dataset_dir, tmp_path, capsys):
     data = shutil.copytree(dataset_dir, tmp_path / "ds")
-    (data / PIXEL_FILE).write_bytes(bytes(len(load_dataset(data)) * 8 * 8 * 3))  # every image 8x8
+    header = PIXEL_HEADER.pack(PIXEL_MAGIC, 8)
+    (data / PIXEL_FILE).write_bytes(header + bytes(len(load_dataset(data)) * 8 * 8 * 3))  # every image 8x8
     out = tmp_path / "e"
     status, _, err = run(
         capsys, "eval", "--checkpoint", str(run_dir / "best.nclp"), "--dataset", str(data),
@@ -644,6 +648,24 @@ def test_train_on_a_corpus_missing_a_pixel_file_is_refused(dataset_dir, tmp_path
     pixel.unlink()
     _refused_in_one_line(capsys, train_args(data, tmp_path / "run"), "E_DATASET_FORMAT", pixel)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("damage", ["cut to 8x8 images", "no header"])
+def test_a_pixel_file_of_other_images_is_refused_before_train_writes(dataset_dir, tmp_path, capsys, damage):
+    data = shutil.copytree(dataset_dir, tmp_path / "ds")
+    pixels = data / PIXEL_FILE
+    records = load_dataset(data).records
+    if damage == "no header":  # the images alone, as a pixel file without a header held them
+        pixels.write_bytes(b"".join(r.get_pixels().tobytes() for r in records))
+        named = "no pixel file header; run clipforge datagen again"
+    else:
+        os.truncate(pixels, len(records) * 8 * 8 * 3)  # once read as 8x8 images
+        named = f"do not split into {len(records)} equal images of 16x16"
+    before = tree_digest(data)
+    status, _, err = run(capsys, *train_args(data, tmp_path / "run"))
+    assert status == 1 and err.startswith("E_DATASET_FORMAT: ") and len(err.splitlines()) == 1
+    assert f"pixel file {pixels}: " in err and named in err
+    assert tree_digest(data) == before and not (tmp_path / "run").exists()
 
 
 def _train_and_eval(run_dir, data, tmp_path):

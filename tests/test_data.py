@@ -16,6 +16,8 @@ from clipforge.data import (
     EOS_ID,
     PAD_ID,
     PIXEL_FILE,
+    PIXEL_HEADER,
+    PIXEL_MAGIC,
     UNK_ID,
     CaptionedImage,
     Dataset,
@@ -382,7 +384,7 @@ def test_a_field_with_a_tab_or_a_line_break_is_refused_before_anything_is_writte
         ("languages", [BASE_LANGUAGE, "pixels"], "a dataset of the old layout"),
         ("pixels", np.zeros((8, 8, 3)), "'img000003': pixel array of float64 (8, 8, 3)"),
         ("pixels", np.zeros((4, 16, 3), np.uint8), "'img000003': pixel array of uint8 (4, 16, 3)"),
-        ("pixels", np.zeros((8, 8, 4), np.uint8), "'img000003': pixel array: size 256"),
+        ("pixels", np.zeros((8, 8, 4), np.uint8), "'img000003': pixel array of uint8 (8, 8, 4)"),
         ("pixels", np.zeros((16, 16, 3), np.uint8), "'img000003': pixel array of (16, 16, 3), where the first"
          " record's is (8, 8, 3)"),
         ("captions", {BASE_LANGUAGE: "red\ud800", "aab_Ciph": "x"}, "field 'red\\ud800' holds a lone surrogate"),
@@ -456,7 +458,8 @@ def test_what_save_dataset_writes_load_dataset_reads_back_equal(data):
         except DatasetFormatError:
             assert not target.exists()
             return
-        assert (target / PIXEL_FILE).read_bytes() == b"".join(r.pixels.tobytes() for r in ds.records)
+        header = PIXEL_HEADER.pack(PIXEL_MAGIC, ds.records[0].pixels.shape[0])  # a fault may change the first side
+        assert (target / PIXEL_FILE).read_bytes() == header + b"".join(r.pixels.tobytes() for r in ds.records)
         back = load_dataset(target)
         assert back.languages == ds.languages
         assert [(r.id, r.aesthetic_score, r.captions, r.get_pixels().tobytes()) for r in back.records] == [
@@ -488,7 +491,8 @@ def test_loader_is_lazy_about_pixels(tmp_path):
     rows = [f"img{i}\t5.0\tred circle" for i in range(5000)]
     write_manifest(tmp_path, ["id\taesthetic_score\teng_Latn"] + rows)
     with open(tmp_path / PIXEL_FILE, "wb") as fh:
-        fh.truncate(5000 * 16 * 16 * 3)  # a file the loader only sizes
+        fh.write(PIXEL_HEADER.pack(PIXEL_MAGIC, 16))
+        fh.truncate(PIXEL_HEADER.size + 5000 * 16 * 16 * 3)  # a file the loader only sizes
     ds = load_dataset(tmp_path)
     assert len(ds) == 5000 and ds.records[0].pixels is None
     assert ds.records[4999].pixel_file.side == 16 and ds.records[4999].slot == 4999
@@ -558,26 +562,34 @@ def test_a_dataset_of_the_old_layout_is_refused_with_one_message(tmp_path):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("damage", ["missing", "one byte short", "one byte long"])
+@pytest.mark.parametrize("damage", ["missing", "one byte short", "one byte long", "cut to 4x4 images", "no header"])
 def test_a_pixel_file_of_another_size_is_refused_at_load(tmp_path, damage):
     ds = generate_synthetic_corpus(4, 1, image_size=8, seed=4)
     save_dataset(ds, tmp_path)
     pixels = tmp_path / PIXEL_FILE
+    named = "do not split into 4 equal images of 8x8"
     if damage == "missing":
         pixels.unlink()
+        named = "No such file or directory"
+    elif damage == "cut to 4x4 images":
+        os.truncate(pixels, 4 * 4 * 4 * 3)  # once read as four 4x4 images
+    elif damage == "no header":  # the images alone, as a pixel file without a header held them
+        pixels.write_bytes(b"".join(r.pixels.tobytes() for r in ds.records))
+        named = f"pixel file {pixels}: no pixel file header; run clipforge datagen again"
     else:
-        os.truncate(pixels, 4 * 192 + (1 if damage == "one byte long" else -1))
-    named = "No such file or directory" if damage == "missing" else "do not split into 4 equal images"
+        os.truncate(pixels, PIXEL_HEADER.size + 4 * 192 + (1 if damage == "one byte long" else -1))
     with pytest.raises(DatasetFormatError, match=re.escape(named)):
         load_dataset(tmp_path)
 
 
 def test_pixel_file_size_validation(tmp_path):
-    for count, size, named in [(1, 100, "size 100 is not a multiple of 3"),
-                               (1, 5 * 7 * 3, "105 bytes is not a square RGB image"),
-                               (0, 3, "3 bytes do not split into 0 equal images")]:
+    header = PIXEL_HEADER.pack(PIXEL_MAGIC, 5)
+    for count, content, named in [(1, bytes(100), "no pixel file header"),
+                                  (1, header[:6], "no pixel file header"),
+                                  (1, header + bytes(5 * 7 * 3), "113 bytes do not split into 1 equal images of 5x5"),
+                                  (0, header + bytes(3), "11 bytes do not split into 0 equal images")]:
         write_manifest(tmp_path, ["id\taesthetic_score\teng_Latn"] + [f"img{i}\t5.0\tred" for i in range(count)])
-        (tmp_path / PIXEL_FILE).write_bytes(bytes(size))
+        (tmp_path / PIXEL_FILE).write_bytes(content)
         with pytest.raises(DatasetFormatError, match=re.escape(named)):
             load_dataset(tmp_path)
 
@@ -589,7 +601,7 @@ def test_a_pixel_file_whose_size_changed_after_load_is_refused_when_read(tmp_pat
     with open(tmp_path / PIXEL_FILE, "ab") as fh:
         fh.write(bytes(192))  # one more image, appended after load
     for read in (records[0].get_pixels, lambda: pixel_batch(records)):
-        with pytest.raises(DatasetFormatError, match="960 bytes, not the 768 it held when the dataset was loaded"):
+        with pytest.raises(DatasetFormatError, match="968 bytes, not the 776 it held when the dataset was loaded"):
             read()
 
 

@@ -148,11 +148,42 @@ def test_main_prints_each_verdict_and_warns_of_unequal_digests(tmp_path, capsys)
         "adapt_frozen_lion8 run_s: parent 1 -> change 0.7879 s, change won 2/4, unresolved",
         "adapt_frozen_lion8 throughput_per_s: parent 100 -> change 130 1/s, change won 2/4, unresolved",
         "adapt_frozen_lion8 peak_rss_mb: parent 100 -> change 115 MB, change won 0/4, regression",
+        "adapt_frozen_lion8 peak_rss_mb modes: 100-100 MB (parent 4, change 0), 115-115 MB (parent 0, change 4)",
         "WARNING: adapt_frozen_lion8 loss_digest equal in 3 of 4 pairs",
     ]
     # the printed summary leaves the JSON file as it was
     spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     assert out.read_text() == json.dumps(fold_bench.fold(parent, change, spec), indent=1, sort_keys=True) + "\n"
+
+
+# the peak RSS of adapt_frozen_lion8 in BENCH_30.json, seeds 30001-30010: two modes on both sides
+RSS_PARENT = [65.9453125, 70.07421875, 70.3203125, 69.9609375, 65.98046875, 65.91015625, 70.0390625, 65.93359375,
+              65.98828125, 66.109375]
+RSS_CHANGE = [65.8203125, 69.91015625, 70.07421875, 69.94140625, 65.9375, 66.03515625, 70.0390625, 69.97265625,
+              69.9765625, 70.0546875]
+
+
+def test_peak_rss_modes_are_recorded_and_printed(tmp_path, capsys):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    for seed, (p_rss, c_rss) in enumerate(zip(RSS_PARENT, RSS_CHANGE), start=30001):
+        write_result(parent, seed, 100, p_rss)
+        write_result(change, seed, 100, c_rss)
+    out = tmp_path / "BENCH_0.json"
+    assert fold_bench.main([str(parent), str(change), str(out)]) == 0
+    rss = json.loads(out.read_text())["workloads"]["adapt_frozen_lion8"]["metrics"]["peak_rss_mb"]
+    assert rss["modes"] == [
+        {"low": 65.8203125, "high": 66.109375, "parent": 6, "change": 3},
+        {"low": 69.91015625, "high": 70.3203125, "parent": 4, "change": 7},
+    ]
+    assert rss["verdict"] == "within_bound"  # the modes change no verdict
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
+        "adapt_frozen_lion8 peak_rss_mb modes: 65.82-66.11 MB (parent 6, change 3), 69.91-70.32 MB (parent 4, change 7)"
+    )
+    assert fold_bench.modes({"parent": [1.0, 2.0, 3.6], "change": [2.5]}) == [
+        {"low": 1.0, "high": 2.5, "parent": 2, "change": 1},  # no neighbours more than 1 MB apart
+        {"low": 3.6, "high": 3.6, "parent": 1, "change": 0},
+    ]
 
 
 @pytest.mark.parametrize("src_lines, expected", [(105, "(+5)"), (97, "(-3)")])

@@ -766,7 +766,7 @@ def test_an_error_in_the_worker_half_reaches_the_caller(split_on):
 
     with pytest.raises(_BlockError) as exc:
         T._in_halves(run, [0, 1])
-    assert type(exc.value) is _BlockError and str(exc.value) == "block 1 failed on clipforge-half_0"
+    assert type(exc.value) is _BlockError and str(exc.value) == "block 1 failed on clipforge-half"
 
     ended = []
 
@@ -789,9 +789,27 @@ def test_an_error_in_the_worker_half_reaches_the_caller(split_on):
         raise _BlockError(f"backward of block 1 failed on {threading.current_thread().name}")
 
     parts[1]._backward = failing
-    with pytest.raises(_BlockError, match="^backward of block 1 failed on clipforge-half_0$"):
+    with pytest.raises(_BlockError, match="^backward of block 1 failed on clipforge-half$"):
         T.sum_(T.join_rows(parts)).backward()
-    assert caller != "clipforge-half_0" and x.grad is None
+    assert caller != "clipforge-half" and x.grad is None
+
+
+def test_no_thread_outlives_a_split_that_returns_or_raises(split_on):
+    def halves():
+        return [t for t in threading.enumerate() if t.name.startswith("clipforge-half")]
+
+    def run(half):
+        if half == [fails]:
+            raise _BlockError(f"block {fails} failed")
+        return half
+
+    for fails in (None, 0, 1):  # neither half fails, the caller's, the other thread's
+        if fails is None:
+            assert T._in_halves(run, [0, 1, 2]) == [0, 1, 2]
+        else:
+            with pytest.raises(_BlockError, match=f"^block {fails} failed$"):
+                T._in_halves(run, [0, 1])
+        assert halves() == []
 
 
 def test_join_rows_refuses_a_second_walk_and_consumed_parts():
@@ -848,7 +866,7 @@ def test_joins_from_several_threads_give_the_serial_bits(split_on):
     def caller():
         results.extend(weight_grad(joined=True) for _ in range(10))
 
-    # four callers share the one worker thread, switching as often as the interpreter allows
+    # four callers split at once, each on threads of its own, switching as often as the interpreter allows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

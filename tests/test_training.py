@@ -16,6 +16,7 @@ from clipforge import training
 from clipforge.data import (
     MANIFEST_NAME,
     PIXEL_FILE,
+    PIXEL_HEADER,
     SPLIT_NAME,
     Vocabulary,
     aesthetic_filter,
@@ -122,6 +123,17 @@ def test_integer_fields_refuse_floats_and_bools_before_any_write(dataset_dir, tm
     with pytest.raises(ConfigError, match=rf"^{field} must be an int >= \d.*, got {value!r}$"):
         run_training(tiny_config(dataset_dir, out, **{field: value}))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("lr", True, "a number"), ("weight_decay", False, "a number"), ("lr", "0.1", "a number"),
+     ("preset", 5, "a str"), ("languages", "eng_Latn", "a tuple of str"), ("languages", ("eng_Latn", 1), "a tuple of str")],
+)
+def test_every_field_refuses_a_value_of_another_type(field, value, kind):
+    assert set(training._FIELD_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+    with pytest.raises(ConfigError, match=rf"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+        RunConfig(dataset_dir="d", output_dir="o", **{field: value})
 
 
 def test_single_letter_preset_accepted():
@@ -881,9 +893,9 @@ def test_a_rewritten_pixel_file_recomputes_that_image_only(tmp_path, monkeypatch
     first, second, third = (by_id[rid] for rid in train_ids[:3])
     with open(data / PIXEL_FILE, "r+b") as fh:  # rewrite two records' slots in place
         nbytes = first.get_pixels().nbytes
-        fh.seek(first.slot * nbytes)
+        fh.seek(PIXEL_HEADER.size + first.slot * nbytes)
         fh.write(255 - first.get_pixels())  # an image of its own
-        fh.seek(second.slot * nbytes)
+        fh.seek(PIXEL_HEADER.size + second.slot * nbytes)
         fh.write(third.get_pixels())  # a copy shares its original's row
     plain = shutil.copytree(data, tmp_path / "plain", ignore=shutil.ignore_patterns(training.FEATURE_DIR))
     expected = _frozen_run(plain, tmp_path / "p")

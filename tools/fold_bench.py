@@ -14,7 +14,8 @@ count for neither side) and a ``verdict`` (see ``verdict``), plus
 ``fail_ratio`` per side.  The step time
 ``step_ms_p50`` is folded the same way under ``reported``, without a bound,
 and ``records_equal_pairs`` counts, per ``records`` digest (checkpoint, loss,
-report), the pairs whose two runs hold the same value of it.  Where both sides also
+report), the pairs whose two runs hold the same value of it.  ``peak_rss_mb``
+also gets its ``modes`` (see ``modes``).  Where both sides also
 hold a ``--trace 1`` result of a workload at one seed, ``traced`` gives
 every per-layer metric both measured, side by side.  It also records each
 side's environment line (cores, BLAS, python, numpy, ``src/`` non-blank
@@ -23,8 +24,9 @@ lines) as the runs saved it.  Standard library only.
 Standard output gets the change in ``src/`` non-blank lines, a ``WARNING``
 line if the sides' environment lines differ in anything else, one line per
 workload and end-to-end metric (both medians, the pairs the change won and the
-verdict) and a ``WARNING`` line for each ``records`` digest that was not equal
-in every pair.
+verdict), one line for each workload whose ``peak_rss_mb`` falls into two or
+more modes, and a ``WARNING`` line for each ``records`` digest that was not
+equal in every pair.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[
 # folded like the end-to-end metrics where every paired run measured them, but
 # BENCHMARK.json sets them no bound: {name: (unit, better)}
 REPORTED = {"step_ms_p50": ("ms", "lower")}
+MODE_GAP_MB = 1.0  # sorted peak_rss_mb values split into modes wherever neighbours lie further apart
 
 
 def read_side(directory, trace: int = 0) -> dict:
@@ -86,6 +89,22 @@ def _paired(values, lower: bool) -> dict:
         "change_won": won,
         "median_ratio": statistics.median(values["change"]) / parent_median if parent_median else None,
     }
+
+
+def modes(values: dict) -> list:
+    """Both sides' ``values`` (``{side: [value]}``) sorted and split wherever two
+    neighbours lie more than ``MODE_GAP_MB`` apart: per mode its lowest and highest
+    value and each side's run count in it.  A metric that falls into two modes
+    on both sides moves its medians by the share of runs in each, not by the
+    code."""
+    ordered = sorted((v, side) for side, side_values in values.items() for v in side_values)
+    found: list = []
+    for value, side in ordered:
+        if not found or value - found[-1]["high"] > MODE_GAP_MB:
+            found.append({"low": value, "high": value, "parent": 0, "change": 0})
+        found[-1]["high"] = value
+        found[-1][side] += 1
+    return found
 
 
 def verdict(paired: dict, bound: float, lower: bool) -> str:
@@ -151,6 +170,7 @@ def fold(parent_dir, change_dir, spec: dict) -> dict:
                 bound=metric["bound"],
                 verdict=verdict(paired, metric["bound"], lower),
             )
+        entry["metrics"]["peak_rss_mb"]["modes"] = modes(_values(sides, "peak_rss_mb"))
         for name, (unit, better) in REPORTED.items():
             if all(name in r["measured"] for runs in sides.values() for r in runs):
                 entry["reported"][name] = dict(_paired(_values(sides, name), better == "lower"), unit=unit, better=better)
@@ -194,7 +214,8 @@ def env_lines(env: dict) -> list:
 
 def summary_lines(folded: dict) -> list:
     """The sides' ``env_lines``, the verdict line of each workload and
-    end-to-end metric, and a warning for each digest that differed in some pair."""
+    end-to-end metric, the ``peak_rss_mb`` modes of each workload that has two
+    or more, and a warning for each digest that differed in some pair."""
     lines = env_lines(folded["env"])
     for workload, entry in folded["workloads"].items():
         for name, m in entry["metrics"].items():
@@ -203,6 +224,12 @@ def summary_lines(folded: dict) -> list:
                 f" {m['change']['median']:.4g} {m['unit']}, change won {m['change_won']}/{m['pairs']},"
                 f" {m['verdict']}"
             )
+        found = entry["metrics"]["peak_rss_mb"]["modes"]
+        if len(found) > 1:
+            lines.append(f"{workload} peak_rss_mb modes: " + ", ".join(
+                f"{mode['low']:.4g}-{mode['high']:.4g} MB (parent {mode['parent']}, change {mode['change']})"
+                for mode in found
+            ))
         pairs = len(entry["seeds"])
         for digest, equal in entry["records_equal_pairs"].items():
             if equal != pairs:
